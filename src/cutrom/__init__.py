@@ -9,12 +9,11 @@ interpolatory hyper-reduction of all parameter-dependent operators.
 """
 
 from .assembly import AssemblyContext, ParametricOperators, ProblemCase, \
-    SparsityPattern, assemble_mass, assemble_operators, assemble_rhs_forcing, \
-    assemble_rhs_target, assemble_stiffness, box_mass_matrix, \
-    build_mass_pattern, build_stiffness_pattern, get_case, square_poisson
+    SparsityPattern, assemble_operators, box_mass_matrix, build_mass_pattern, \
+    build_stiffness_pattern, get_case, square_poisson
 from .deim import DeimModel, OperatorSnapshots, PartialAssembler, \
-    build_reduced_mesh, collect_operator_snapshots, deim_basis, deim_online, \
-    deim_select, make_deim_model, spectral_norm, truncate_model
+    build_reduced_mesh, deim_basis, deim_select, make_deim_model, \
+    spectral_norm, truncate_model
 from .errors import ConfigError, NumericalError, PatternOverflowError
 from .kkt import FullSolution, KktSystem, assemble_kkt, solve_kkt
 from .levelset import CutGeometry, LevelSetSquare, boundary_quadrature, \
@@ -24,7 +23,7 @@ from .mesh import BackgroundMesh, FaceTable, build_background_mesh, \
 from .pipeline import OfflineBundle, load_bundle, run_offline, run_online, \
     run_verify, sample_test_parameters, training_sweep
 from .pod import AggregatedBasis, PodBasis, SnapshotSet, aggregate_basis, \
-    compute_snapshots, pod_basis, sample_parameters
+    pod_basis, sample_parameters
 from .rom import RomModel, RomSolution, direct_projection, \
     precompute_reduced_terms, relative_error, rom_solve
 from .storage import RunConfig, load_matrix, parse_config, save_matrix

@@ -356,30 +356,6 @@ class AssemblyContext:
             a_values=a_values, m_values=m_values)
 
 
-def assemble_stiffness(mesh: BackgroundMesh, geom: CutGeometry,
-                       case: ProblemCase) -> sp.csr_matrix:
-    """Diffusion + Nitsche + ghost-penalty matrix on the active mesh."""
-    return AssemblyContext(mesh, geom.face_table, case).assemble(geom).A
-
-
-def assemble_mass(mesh: BackgroundMesh, geom: CutGeometry) -> sp.csr_matrix:
-    """Mass matrix over the cut domain (symmetric positive semidefinite)."""
-    case = square_poisson()
-    return AssemblyContext(mesh, geom.face_table, case).assemble(geom).M
-
-
-def assemble_rhs_target(mesh: BackgroundMesh, geom: CutGeometry,
-                        case: ProblemCase) -> np.ndarray:
-    """Moments of the target state over the cut domain."""
-    return AssemblyContext(mesh, geom.face_table, case).assemble(geom).b
-
-
-def assemble_rhs_forcing(mesh: BackgroundMesh, geom: CutGeometry,
-                         case: ProblemCase) -> np.ndarray:
-    """Forcing moments plus Nitsche Dirichlet data terms."""
-    return AssemblyContext(mesh, geom.face_table, case).assemble(geom).c
-
-
 def assemble_operators(ctx: AssemblyContext, mu: float,
                        center=(1.0, 1.0)) -> ParametricOperators:
     """Classify and assemble everything for one parameter value."""

@@ -40,30 +40,6 @@ class OperatorSnapshots:
     n: int                                  # DOF count
 
 
-def collect_operator_snapshots(params, ctx: AssemblyContext,
-                               center=(1.0, 1.0)) -> dict[str, OperatorSnapshots]:
-    """Assemble all four components for every training parameter."""
-    from .assembly import assemble_operators
-
-    params = np.asarray(params, dtype=float)
-    n = ctx.mesh.dof_count
-    vals = {
-        "A": np.zeros((ctx.pattern_A.nnz, params.size)),
-        "M": np.zeros((ctx.pattern_M.nnz, params.size)),
-        "b": np.zeros((n, params.size)),
-        "c": np.zeros((n, params.size)),
-    }
-    for k, mu in enumerate(params):
-        ops = assemble_operators(ctx, float(mu), center)
-        vals["A"][:, k] = ops.a_values
-        vals["M"][:, k] = ops.m_values
-        vals["b"][:, k] = ops.b
-        vals["c"][:, k] = ops.c
-    pats = {"A": ctx.pattern_A, "M": ctx.pattern_M, "b": None, "c": None}
-    return {comp: OperatorSnapshots(comp, params, vals[comp], pats[comp], n)
-            for comp in COMPONENTS}
-
-
 @dataclass
 class DeimBasis:
     """Euclidean POD of an operator snapshot family."""
@@ -339,13 +315,6 @@ class PartialAssembler:
 
     def projector_apply(self, theta: np.ndarray) -> np.ndarray:
         return self.model.projector @ theta
-
-
-def deim_online(model: DeimModel, assembler: PartialAssembler, mu: float):
-    """Reconstructed component at a new parameter value."""
-    if assembler.model is not model:
-        raise ValueError("assembler was built for a different model")
-    return assembler.reconstruct(mu)
 
 
 def spectral_norm(mat, iters: int = 120) -> float:

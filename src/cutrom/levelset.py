@@ -357,21 +357,6 @@ class CutGeometry:
     ghost_facets: np.ndarray       # face indices
     active: SubsetGeometry         # quadrature data over active_elements
 
-    def element_interior_rule(self, e: int):
-        li = np.searchsorted(self.active.elems, e)
-        if li >= self.active.elems.size or self.active.elems[li] != e:
-            return np.zeros((0, 2)), np.zeros(0)
-        m = self.active.iq_parent == li
-        return self.active.iq_points[m], self.active.iq_weights[m]
-
-    def element_boundary_rule(self, e: int):
-        li = np.searchsorted(self.active.elems, e)
-        if li >= self.active.elems.size or self.active.elems[li] != e:
-            return np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2))
-        m = self.active.bq_parent == li
-        return (self.active.bq_points[m], self.active.bq_weights[m],
-                self.active.bq_normals[m])
-
     @property
     def interior_weight_sum(self) -> float:
         return float(np.sum(self.active.iq_weights))

@@ -14,16 +14,19 @@ import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import AssemblyContext, assemble_operators, \
     box_mass_matrix, get_case
-from .deim import COMPONENTS, DeimModel, PartialAssembler, deim_basis, \
-    model_from_snapshots, spectral_norm, truncate_model
+from .deim import COMPONENTS, DeimModel, OperatorSnapshots, \
+    PartialAssembler, _pairs_of_indices, deim_basis, model_from_snapshots, \
+    spectral_norm, truncate_model
 from .errors import ConfigError, NumericalError
 from .kkt import assemble_kkt, solve_kkt
 from .levelset import LevelSetSquare, classify_elements, cut_candidates
@@ -31,14 +34,16 @@ from .mesh import BackgroundMesh, build_background_mesh, build_face_table
 from .pod import AggregatedBasis, PodBasis, SnapshotSet, aggregate_basis, \
     pod_basis, sample_parameters
 from .rom import RomModel, precompute_reduced_terms, relative_error, rom_solve
-from .storage import RunConfig, config_echo, load_index_list, load_matrix, \
-    parse_config, save_index_list, save_matrix, write_csv
+from .storage import STAGES, RunConfig, config_echo, load_index_list, \
+    load_matrix, parse_config, save_index_list, save_matrix, \
+    selected_stages, write_csv
 
 CENTER = (1.0, 1.0)
 MODES_SWEEP = (1, 2, 3, 5, 9, 15, 25)
 DEIM_SWEEP = (1, 2, 5, 10, 15, 20, 25, 30, 35, 40)
 TIMING_REPEATS = 11
-STAGE_ORDER = ("snapshots", "pod", "deim", "rom")
+MANIFEST_FORMAT = 2
+VARS = ("y", "u", "p")
 
 
 def median_time(fn, repeats: int = TIMING_REPEATS) -> float:
@@ -51,26 +56,18 @@ def median_time(fn, repeats: int = TIMING_REPEATS) -> float:
     return float(np.median(samples))
 
 
-class _OutputLock:
+@contextmanager
+def _output_lock(out: Path):
     """Exclusive ownership of the output directory while writing."""
-
-    def __init__(self, out_dir: Path):
-        self.path = out_dir / ".lock"
-
-    def __enter__(self):
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ConfigError(
-                f"output directory is locked by another run: {self.path}")
-        os.close(fd)
-        return self
-
-    def __exit__(self, *exc):
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
+    path = out / ".lock"
+    try:
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        raise ConfigError(f"output directory is locked by another run: {path}")
+    try:
+        yield
+    finally:
+        path.unlink(missing_ok=True)
 
 
 def mesh_fingerprint(mesh: BackgroundMesh) -> str:
@@ -122,204 +119,303 @@ class OfflineBundle:
         return self.ctx.face_table
 
 
+def _patterns(ctx: AssemblyContext) -> dict:
+    return {"A": ctx.pattern_A, "M": ctx.pattern_M, "b": None, "c": None}
+
+
 def training_sweep(params, ctx: AssemblyContext, W):
     """One assembly+solve pass that feeds both snapshot families."""
-    from .deim import OperatorSnapshots
-
     params = np.asarray(params, dtype=float)
     n = ctx.mesh.dof_count
-    S = {"y": np.zeros((n, params.size)), "u": np.zeros((n, params.size)),
-         "p": np.zeros((n, params.size))}
-    vals = {"A": np.zeros((ctx.pattern_A.nnz, params.size)),
-            "M": np.zeros((ctx.pattern_M.nnz, params.size)),
-            "b": np.zeros((n, params.size)),
-            "c": np.zeros((n, params.size))}
-    t_asm = np.zeros(params.size)
-    t_sol = np.zeros(params.size)
+    pats = _patterns(ctx)
+    S = {var: np.zeros((n, params.size)) for var in VARS}
+    vals = {comp: np.zeros((n if pat is None else pat.nnz, params.size))
+            for comp, pat in pats.items()}
     for k, mu in enumerate(params):
-        t0 = time.perf_counter()
         ops = assemble_operators(ctx, float(mu), CENTER)
-        t_asm[k] = time.perf_counter() - t0
-        vals["A"][:, k] = ops.a_values
-        vals["M"][:, k] = ops.m_values
-        vals["b"][:, k] = ops.b
-        vals["c"][:, k] = ops.c
+        for comp, v in zip(COMPONENTS, (ops.a_values, ops.m_values, ops.b,
+                                        ops.c)):
+            vals[comp][:, k] = v
         try:
             sol = solve_kkt(assemble_kkt(ops, ctx.case.alpha))
         except NumericalError as exc:
             raise NumericalError(f"offline solve failed at mu={mu}") from exc
-        S["y"][:, k] = sol.y
-        S["u"][:, k] = sol.u
-        S["p"][:, k] = sol.p
-        t_sol[k] = sol.solve_time
-    snaps = SnapshotSet(params, S["y"], S["u"], S["p"], W, t_asm, t_sol)
-    pats = {"A": ctx.pattern_A, "M": ctx.pattern_M, "b": None, "c": None}
+        for var in VARS:
+            S[var][:, k] = getattr(sol, var)
+    snaps = SnapshotSet(params, *(S[var] for var in VARS))
     opsnaps = {comp: OperatorSnapshots(comp, params, vals[comp], pats[comp], n)
                for comp in COMPONENTS}
     return snaps, opsnaps
 
 
-def _stages_of(cfg: RunConfig) -> set[str]:
-    if cfg.stages == "all":
-        return set(STAGE_ORDER)
-    return {s.strip() for s in cfg.stages.split(",") if s.strip()}
+# Stage steps.  Each works on the run state, a dict holding cfg, ctx and W
+# plus the results of the stages built or loaded so far; build and load
+# return the entries they add to it.
+
+def _snapshots_build(s):
+    cfg = s["cfg"]
+    params = sample_parameters(cfg.mu_min, cfg.mu_max, cfg.m_train, cfg.seed)
+    snaps, opsnaps = training_sweep(params, s["ctx"], s["W"])
+    return {"params": params, "snapshots": snaps, "opsnaps": opsnaps}
+
+
+def _snapshots_save(out: Path, s) -> None:
+    save_matrix(out / "params_train.romb", s["params"])
+    for var in VARS:
+        save_matrix(out / f"snap_{var}.romb",
+                    getattr(s["snapshots"], f"S_{var}"))
+
+
+def _snapshots_load(out: Path, s):
+    params = load_matrix(out / "params_train.romb").ravel()
+    return {"params": params,
+            "snapshots": SnapshotSet(params, *(
+                load_matrix(out / f"snap_{var}.romb") for var in VARS))}
+
+
+def _pod_build(s):
+    cfg, W = s["cfg"], s["W"]
+    pod = {var: pod_basis(getattr(s["snapshots"], f"S_{var}"), W,
+                          cfg.eps_pod, min_stored=cfg.pod_store)
+           for var in VARS}
+    basis = aggregate_basis(*(pod[v].vectors[:, :pod[v].retained]
+                              for v in VARS), W)
+    return {"pod": pod, "basis": basis}
+
+
+def _pod_save(out: Path, s) -> None:
+    pod = s["pod"]
+    for var in VARS:
+        save_matrix(out / f"pod_basis_{var}.romb", pod[var].vectors)
+        save_matrix(out / f"pod_eigs_{var}.romb", pod[var].eigenvalues)
+    save_index_list(out / "pod_retained.txt", [pod[v].retained for v in VARS])
+    save_matrix(out / "basis_vyp.romb", s["basis"].V_yp)
+    save_matrix(out / "basis_vu.romb", s["basis"].V_u)
+
+
+def _pod_load(out: Path, s):
+    retained = load_index_list(out / "pod_retained.txt")
+    pod = {var: PodBasis(load_matrix(out / f"pod_basis_{var}.romb"),
+                         load_matrix(out / f"pod_eigs_{var}.romb").ravel(),
+                         int(retained[k]), s["cfg"].eps_pod)
+           for k, var in enumerate(VARS)}
+    return {"pod": pod,
+            "basis": AggregatedBasis(load_matrix(out / "basis_vyp.romb"),
+                                     load_matrix(out / "basis_vu.romb"))}
+
+
+def _deim_build(s):
+    cfg, ctx = s["cfg"], s["ctx"]
+    # without a snapshots build in this run, the sweep is repeated for the
+    # operator snapshots and its solutions are discarded
+    opsnaps = s.get("opsnaps") or training_sweep(s["params"], ctx, s["W"])[1]
+    candidates = cut_candidates(ctx.mesh, cfg.mu_min, cfg.mu_max, CENTER)
+    models = {}
+    for comp in COMPONENTS:
+        dbasis = deim_basis(opsnaps[comp], cfg.eps_deim)
+        models[comp] = model_from_snapshots(dbasis, dbasis.m, opsnaps[comp],
+                                            ctx.mesh, ctx.face_table,
+                                            candidates)
+    return {"deim_models": models}
+
+
+def _deim_save(out: Path, s) -> None:
+    for comp, model in s["deim_models"].items():
+        save_matrix(out / f"deim_{comp}_U.romb", model.U)
+        save_matrix(out / f"deim_{comp}_proj.romb", model.projector)
+        save_matrix(out / f"deim_{comp}_eigs.romb", model.eigenvalues)
+        save_index_list(out / f"deim_{comp}_indices.txt", model.indices)
+        save_index_list(out / f"deim_{comp}_elements.txt",
+                        model.reduced_elements)
+        save_index_list(out / f"deim_{comp}_facets.txt",
+                        model.reduced_facets)
+
+
+def _deim_load(out: Path, s):
+    ctx = s["ctx"]
+    pats = _patterns(ctx)
+    models = {}
+    for comp in COMPONENTS:
+        indices = load_index_list(out / f"deim_{comp}_indices.txt")
+        models[comp] = DeimModel(
+            comp, ctx.mesh.dof_count, pats[comp],
+            load_matrix(out / f"deim_{comp}_U.romb"), indices,
+            _pairs_of_indices(indices, pats[comp]),
+            load_matrix(out / f"deim_{comp}_proj.romb"),
+            load_index_list(out / f"deim_{comp}_elements.txt"),
+            load_index_list(out / f"deim_{comp}_facets.txt"),
+            load_matrix(out / f"deim_{comp}_eigs.romb").ravel())
+    return {"deim_models": models}
+
+
+def _rom_build(s):
+    return {"rom": precompute_reduced_terms(
+        s["basis"], s["deim_models"], s["ctx"], s["cfg"].alpha, CENTER)}
+
+
+def _rom_save(out: Path, s) -> None:
+    rom, nyp, nu = s["rom"], s["basis"].n_yp, s["basis"].n_u
+    save_matrix(out / "rom_a_terms.romb", rom.A_terms.reshape(-1, nyp))
+    save_matrix(out / "rom_myp_terms.romb", rom.M_yp_terms.reshape(-1, nyp))
+    save_matrix(out / "rom_mu_terms.romb",
+                rom.M_u_terms.reshape(-1, max(nu, 1)))
+    save_matrix(out / "rom_muyp_terms.romb", rom.M_uyp_terms.reshape(-1, nyp))
+    save_matrix(out / "rom_b_terms.romb", rom.b_terms)
+    save_matrix(out / "rom_c_terms.romb", rom.c_terms)
+
+
+def _rom_load(out: Path, s):
+    basis, models, ctx = s["basis"], s["deim_models"], s["ctx"]
+    nyp, nu = basis.n_yp, basis.n_u
+    a = load_matrix(out / "rom_a_terms.romb").reshape(-1, nyp, nyp)
+    myp = load_matrix(out / "rom_myp_terms.romb").reshape(-1, nyp, nyp)
+    mu_t = load_matrix(out / "rom_mu_terms.romb").reshape(-1, nu, max(nu, 1))
+    muyp = load_matrix(out / "rom_muyp_terms.romb").reshape(-1, nu, nyp)
+    assemblers = {comp: PartialAssembler(model, ctx, CENTER)
+                  for comp, model in models.items()}
+    return {"rom": RomModel(basis, s["cfg"].alpha, a, myp, mu_t[:, :, :nu],
+                            muyp, load_matrix(out / "rom_b_terms.romb"),
+                            load_matrix(out / "rom_c_terms.romb"),
+                            dict(models), assemblers)}
+
+
+class _Stage(NamedTuple):
+    reads: tuple[str, ...]     # stages whose results the build step uses
+    keys: tuple[str, ...]      # RunConfig keys the build step uses
+    build: Callable
+    save: Callable
+    load: Callable
+
+
+STAGE_TABLE = dict(zip(STAGES, (
+    _Stage((), ("box_min_x", "box_min_y", "box_max_x", "box_max_y",
+                "h_target", "mu_min", "mu_max", "alpha", "gamma_d",
+                "gamma_1", "case", "m_train", "seed"),
+           _snapshots_build, _snapshots_save, _snapshots_load),
+    _Stage(("snapshots",), ("eps_pod", "pod_store"),
+           _pod_build, _pod_save, _pod_load),
+    _Stage(("snapshots",), ("eps_deim",), _deim_build, _deim_save, _deim_load),
+    _Stage(("pod", "deim"), (), _rom_build, _rom_save, _rom_load),
+)))
+
+
+def _stage_config(cfg: RunConfig, name: str) -> dict:
+    """Config values used by a stage and every stage upstream of it."""
+    keys, pending = set(), [name]
+    while pending:
+        stage = STAGE_TABLE[pending.pop()]
+        keys.update(stage.keys)
+        pending.extend(stage.reads)
+    return {k: repr(v) if isinstance(v, float) else v
+            for k, v in sorted((k, getattr(cfg, k)) for k in keys)}
+
+
+def _stage_records(out: Path) -> dict:
+    """Per-stage config records of the bundle in ``out``."""
+    path = out / "manifest.json"
+    if not path.is_file():
+        raise ConfigError(f"no offline bundle in {out}")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: unreadable manifest: {exc}") from exc
+    if manifest.get("format") != MANIFEST_FORMAT:
+        raise ConfigError(f"{path}: outdated format {manifest.get('format')}"
+                          "; rerun offline with stages = all")
+    return manifest["stages"]
+
+
+def _plan(cfg: RunConfig, out: Path, selected: set[str]):
+    """Stages to load for a run that builds ``selected``, and the records
+    that stay valid.  Each stage to load must be recorded with the values
+    ``cfg`` has, else ConfigError; with nothing selected, all are loaded.
+    """
+    replaced = set()
+    for name, stage in STAGE_TABLE.items():
+        if name in selected or replaced.intersection(stage.reads):
+            replaced.add(name)
+    records = {} if replaced == set(STAGES) else _stage_records(out)
+    records = {k: v for k, v in records.items() if k not in replaced}
+    inputs = [name for name in STAGES if name not in selected and (
+        not selected or any(name in STAGE_TABLE[s].reads for s in selected))]
+    for name in inputs:
+        record = records.get(name, {})
+        diff = [f"{k}={record.get(k)} (config has {v})"
+                for k, v in _stage_config(cfg, name).items()
+                if record.get(k) != v]
+        if diff:
+            why = f"was built with {', '.join(diff)}" if name in records \
+                else "is missing (never built, or dropped by a rerun)"
+            raise ConfigError(f"stage '{name}' in {out} {why}; rerun "
+                              f"offline with '{name}' in stages")
+    return inputs, records
+
+
+def _walk(cfg: RunConfig, ctx: AssemblyContext, W, out: Path,
+          selected: set[str], inputs: list[str]):
+    """Build and save the selected stages and load the inputs, in order.
+
+    Returns the bundle of everything built or loaded and the build times.
+    """
+    state, timings = {"cfg": cfg, "ctx": ctx, "W": W}, []
+    for name, stage in STAGE_TABLE.items():
+        if name in selected:
+            t0 = time.perf_counter()
+            state.update(stage.build(state))
+            timings.append((name, time.perf_counter() - t0))
+            stage.save(out, state)
+        elif name in inputs:
+            try:
+                state.update(stage.load(out, state))
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"stage '{name}' in {out} is unreadable "
+                                  f"({exc}); rerun offline with '{name}' "
+                                  f"in stages") from exc
+    get = state.get
+    return OfflineBundle(cfg, ctx.mesh, ctx, W, get("params"),
+                         get("snapshots"), get("pod"), get("basis"),
+                         get("deim_models"), get("rom")), timings
+
+
+def _write_manifest(out: Path, records: dict) -> None:
+    manifest = {"format": MANIFEST_FORMAT, "stages": records}
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
 
 
 def run_offline(cfg: RunConfig, out_dir=None) -> OfflineBundle:
     """Execute the selected offline stages and persist the bundle."""
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stages = _stages_of(cfg)
+    selected = selected_stages(cfg)
     mesh, face_table, case, ctx, W = build_problem(cfg)
-    candidates = cut_candidates(mesh, cfg.mu_min, cfg.mu_max, CENTER)
 
-    with _OutputLock(out):
+    with _output_lock(out):
+        inputs, records = _plan(cfg, out, selected)
+        # replaced stages leave the manifest before their files change
+        _write_manifest(out, records)
+        bundle, timings = _walk(cfg, ctx, W, out, selected, inputs)
+
         (out / "config.resolved").write_text(config_echo(cfg),
                                              encoding="utf-8")
         (out / "mesh_fingerprint.txt").write_text(
             f"{mesh.n_cells[0]} {mesh.n_cells[1]} {mesh.n_elements} "
             f"{mesh.dof_count}\n{mesh_fingerprint(mesh)}\n", encoding="utf-8")
-
-        timings: list[tuple[str, float]] = []
-        opsnaps = None
-        if "snapshots" in stages:
-            t0 = time.perf_counter()
-            params = sample_parameters(cfg.mu_min, cfg.mu_max, cfg.m_train,
-                                       cfg.seed)
-            snaps, opsnaps = training_sweep(params, ctx, W)
-            timings.append(("snapshots", time.perf_counter() - t0))
-            save_matrix(out / "params_train.romb", params)
-            save_matrix(out / "snap_y.romb", snaps.S_y)
-            save_matrix(out / "snap_u.romb", snaps.S_u)
-            save_matrix(out / "snap_p.romb", snaps.S_p)
-        else:
-            if not (out / "params_train.romb").is_file():
-                raise ConfigError(
-                    "selected stages require persisted 'snapshots' artifacts")
-            params = load_matrix(out / "params_train.romb").ravel()
-            snaps = SnapshotSet(params,
-                                load_matrix(out / "snap_y.romb"),
-                                load_matrix(out / "snap_u.romb"),
-                                load_matrix(out / "snap_p.romb"), W)
-
-        pod = basis = None
-        if "pod" in stages:
-            t0 = time.perf_counter()
-            pod = {var: pod_basis(getattr(snaps, f"S_{var}"), W, cfg.eps_pod,
-                                  min_stored=cfg.pod_store)
-                   for var in ("y", "u", "p")}
-            basis = aggregate_basis(pod["y"].vectors[:, :pod["y"].retained],
-                                    pod["u"].vectors[:, :pod["u"].retained],
-                                    pod["p"].vectors[:, :pod["p"].retained],
-                                    W)
-            timings.append(("pod", time.perf_counter() - t0))
-            for var in ("y", "u", "p"):
-                save_matrix(out / f"pod_basis_{var}.romb", pod[var].vectors)
-                save_matrix(out / f"pod_eigs_{var}.romb",
-                            pod[var].eigenvalues)
-            save_index_list(out / "pod_retained.txt",
-                            [pod[v].retained for v in ("y", "u", "p")])
-            save_matrix(out / "basis_vyp.romb", basis.V_yp)
-            save_matrix(out / "basis_vu.romb", basis.V_u)
-        elif (out / "pod_retained.txt").is_file():
-            pod = _load_pod(out, cfg)
-            basis = AggregatedBasis(load_matrix(out / "basis_vyp.romb"),
-                                    load_matrix(out / "basis_vu.romb"))
-        elif stages & {"rom"}:
-            raise ConfigError("stage 'rom' requires 'pod' artifacts")
-
-        deim_models = None
-        if "deim" in stages:
-            t0 = time.perf_counter()
-            if opsnaps is None:
-                from .deim import collect_operator_snapshots
-                opsnaps = collect_operator_snapshots(params, ctx, CENTER)
-            deim_models = {}
-            for comp in COMPONENTS:
-                dbasis = deim_basis(opsnaps[comp], cfg.eps_deim)
-                deim_models[comp] = model_from_snapshots(
-                    dbasis, dbasis.m, opsnaps[comp], mesh, face_table,
-                    candidates)
-            timings.append(("deim", time.perf_counter() - t0))
-            for comp, model in deim_models.items():
-                save_matrix(out / f"deim_{comp}_U.romb", model.U)
-                save_matrix(out / f"deim_{comp}_proj.romb", model.projector)
-                save_matrix(out / f"deim_{comp}_eigs.romb", model.eigenvalues)
-                save_index_list(out / f"deim_{comp}_indices.txt",
-                                model.indices)
-                save_index_list(out / f"deim_{comp}_elements.txt",
-                                model.reduced_elements)
-                save_index_list(out / f"deim_{comp}_facets.txt",
-                                model.reduced_facets)
-        elif (out / "deim_A_U.romb").is_file():
-            deim_models = _load_deim(out, ctx)
-        elif stages & {"rom"}:
-            raise ConfigError("stage 'rom' requires 'deim' artifacts")
-
-        rom = None
-        if "rom" in stages:
-            t0 = time.perf_counter()
-            rom = precompute_reduced_terms(basis, deim_models, ctx,
-                                           cfg.alpha, CENTER)
-            timings.append(("rom", time.perf_counter() - t0))
-            save_matrix(out / "rom_a_terms.romb",
-                        rom.A_terms.reshape(-1, basis.n_yp))
-            save_matrix(out / "rom_myp_terms.romb",
-                        rom.M_yp_terms.reshape(-1, basis.n_yp))
-            save_matrix(out / "rom_mu_terms.romb",
-                        rom.M_u_terms.reshape(-1, max(basis.n_u, 1)))
-            save_matrix(out / "rom_muyp_terms.romb",
-                        rom.M_uyp_terms.reshape(-1, basis.n_yp))
-            save_matrix(out / "rom_b_terms.romb", rom.b_terms)
-            save_matrix(out / "rom_c_terms.romb", rom.c_terms)
-        elif basis is not None and deim_models is not None \
-                and (out / "rom_a_terms.romb").is_file():
-            rom = _load_rom(out, basis, deim_models, ctx, cfg)
-
-        manifest = {
-            "format": 1,
-            "config": {k: (v if not isinstance(v, float) else repr(v))
-                       for k, v in cfg.as_dict().items()},
-            "mesh": {"cells": list(mesh.n_cells),
-                     "elements": mesh.n_elements,
-                     "dofs": mesh.dof_count,
-                     "fingerprint": mesh_fingerprint(mesh)},
-        }
-        if pod is not None:
-            manifest["pod"] = {
-                "retained": {v: pod[v].retained for v in ("y", "u", "p")},
-                "stored": {v: pod[v].stored for v in ("y", "u", "p")}}
-        if deim_models is not None:
-            manifest["deim"] = {
-                comp: {"m": int(deim_models[comp].m),
-                       "entries": int(deim_models[comp].U.shape[0]),
-                       "reduced_elements":
-                           int(deim_models[comp].reduced_elements.size),
-                       "reduced_facets":
-                           int(deim_models[comp].reduced_facets.size)}
-                for comp in COMPONENTS}
-        if rom is not None:
-            manifest["rom"] = {"n_yp": basis.n_yp, "n_u": basis.n_u,
-                               "reduced_dim": basis.reduced_dim,
-                               "q_matrix_terms": rom.q_matrix_terms,
-                               "q_vector_terms": rom.q_vector_terms}
-        (out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-
-        _write_offline_summary(out, pod, deim_models, basis)
+        records.update({name: _stage_config(cfg, name) for name in selected})
+        _write_manifest(out, records)
+        _write_offline_summary(out, bundle)
         write_csv(out / "offline_timings.csv", ["stage", "seconds"], timings)
-
-    return OfflineBundle(cfg, mesh, ctx, W, params, snaps, pod, basis,
-                         deim_models, rom)
+    return bundle
 
 
-def _write_offline_summary(out: Path, pod, deim_models, basis) -> None:
+def _write_offline_summary(out: Path, bundle: OfflineBundle) -> None:
+    pod, deim_models = bundle.pod, bundle.deim_models
     rows = []
     if pod is not None:
-        for var in ("y", "u", "p"):
+        for var in VARS:
             rows.append(("pod_retained", var, 0, pod[var].retained))
-        for var in ("y", "u", "p"):
+        for var in VARS:
             for i, v in enumerate(pod[var].eigenvalues):
                 rows.append(("pod_eigenvalue", var, i, v))
     if deim_models is not None:
@@ -331,88 +427,25 @@ def _write_offline_summary(out: Path, pod, deim_models, basis) -> None:
                          model.reduced_facets.size))
             for i, v in enumerate(model.eigenvalues):
                 rows.append(("deim_eigenvalue", comp, i, v))
-    if basis is not None:
-        rows.append(("reduced_dim", "rom", 0, basis.reduced_dim))
+    if bundle.basis is not None:
+        rows.append(("reduced_dim", "rom", 0, bundle.basis.reduced_dim))
     write_csv(out / "offline_summary.csv",
               ["record", "component", "index", "value"], rows)
 
 
-def _load_pod(out: Path, cfg: RunConfig) -> dict[str, PodBasis]:
-    retained = load_index_list(out / "pod_retained.txt")
-    pod = {}
-    for k, var in enumerate(("y", "u", "p")):
-        pod[var] = PodBasis(load_matrix(out / f"pod_basis_{var}.romb"),
-                            load_matrix(out / f"pod_eigs_{var}.romb").ravel(),
-                            int(retained[k]), cfg.eps_pod)
-    return pod
-
-
-def _load_deim(out: Path, ctx: AssemblyContext) -> dict[str, DeimModel]:
-    from .deim import _pairs_of_indices
-
-    models = {}
-    pats = {"A": ctx.pattern_A, "M": ctx.pattern_M, "b": None, "c": None}
-    for comp in COMPONENTS:
-        U = load_matrix(out / f"deim_{comp}_U.romb")
-        indices = load_index_list(out / f"deim_{comp}_indices.txt")
-        models[comp] = DeimModel(
-            comp, ctx.mesh.dof_count, pats[comp], U, indices,
-            _pairs_of_indices(indices, pats[comp]),
-            load_matrix(out / f"deim_{comp}_proj.romb"),
-            load_index_list(out / f"deim_{comp}_elements.txt"),
-            load_index_list(out / f"deim_{comp}_facets.txt"),
-            load_matrix(out / f"deim_{comp}_eigs.romb").ravel())
-    return models
-
-
-def _load_rom(out: Path, basis: AggregatedBasis, deim_models, ctx,
-              cfg: RunConfig) -> RomModel:
-    nyp, nu = basis.n_yp, basis.n_u
-    a = load_matrix(out / "rom_a_terms.romb").reshape(-1, nyp, nyp)
-    myp = load_matrix(out / "rom_myp_terms.romb").reshape(-1, nyp, nyp)
-    mu_t = load_matrix(out / "rom_mu_terms.romb").reshape(-1, nu, max(nu, 1))
-    mu_t = mu_t[:, :, :nu]
-    muyp = load_matrix(out / "rom_muyp_terms.romb").reshape(-1, nu, nyp)
-    b = load_matrix(out / "rom_b_terms.romb")
-    c = load_matrix(out / "rom_c_terms.romb")
-    assemblers = {comp: PartialAssembler(model, ctx, CENTER)
-                  for comp, model in deim_models.items()}
-    return RomModel(basis, cfg.alpha, a, myp, mu_t, muyp, b, c,
-                    dict(deim_models), assemblers)
-
-
 def load_bundle(out_dir, cfg: RunConfig | None = None) -> OfflineBundle:
-    """Rebuild a persisted bundle; the mesh is replayed from the config."""
+    """Load every stage of a bundle; each must match ``cfg`` (by default
+    the stored config), from which the mesh is replayed."""
     out = Path(out_dir)
-    if not (out / "manifest.json").is_file():
-        raise ConfigError(f"no offline bundle in {out}")
-    stored_cfg = parse_config(out / "config.resolved")
-    if cfg is not None and _geometry_keys(cfg) != _geometry_keys(stored_cfg):
-        raise ConfigError("config geometry differs from the stored bundle")
-    cfg = stored_cfg
+    if cfg is None:
+        cfg = parse_config(out / "config.resolved")
     mesh, face_table, case, ctx, W = build_problem(cfg)
-    recorded = (out / "mesh_fingerprint.txt").read_text().split()[-1]
-    if recorded != mesh_fingerprint(mesh):
+    recorded = out / "mesh_fingerprint.txt"
+    if not recorded.is_file():
+        raise ConfigError(f"no offline bundle in {out}")
+    if recorded.read_text().split()[-1:] != [mesh_fingerprint(mesh)]:
         raise ConfigError("mesh fingerprint mismatch; bundle is stale")
-    try:
-        params = load_matrix(out / "params_train.romb").ravel()
-        snaps = SnapshotSet(params, load_matrix(out / "snap_y.romb"),
-                            load_matrix(out / "snap_u.romb"),
-                            load_matrix(out / "snap_p.romb"), W)
-        pod = _load_pod(out, cfg)
-        basis = AggregatedBasis(load_matrix(out / "basis_vyp.romb"),
-                                load_matrix(out / "basis_vu.romb"))
-        deim_models = _load_deim(out, ctx)
-        rom = _load_rom(out, basis, deim_models, ctx, cfg)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"bundle in {out} is incomplete: {exc}") from exc
-    return OfflineBundle(cfg, mesh, ctx, W, params, snaps, pod, basis,
-                         deim_models, rom)
-
-
-def _geometry_keys(cfg: RunConfig):
-    return (cfg.box_min_x, cfg.box_min_y, cfg.box_max_x, cfg.box_max_y,
-            cfg.h_target)
+    return _walk(cfg, ctx, W, out, set(), _plan(cfg, out, set())[0])[0]
 
 
 def sample_test_parameters(cfg: RunConfig) -> np.ndarray:
@@ -421,12 +454,15 @@ def sample_test_parameters(cfg: RunConfig) -> np.ndarray:
     return np.sort(rng.uniform(cfg.mu_min, cfg.mu_max, cfg.m_test))
 
 
+def _norm(model: DeimModel, x) -> float:
+    """2-norm of a matrix component, Euclidean norm of a vector one."""
+    return spectral_norm(x) if model.pattern is not None \
+        else float(np.linalg.norm(x))
+
+
 def _component_error(model: DeimModel, assembler: PartialAssembler,
                      mu: float, exact, exact_norm: float) -> float:
-    recon = assembler.reconstruct(mu)
-    if model.pattern is None:
-        return float(np.linalg.norm(recon - exact) / exact_norm)
-    return spectral_norm(recon - exact) / exact_norm
+    return _norm(model, assembler.reconstruct(mu) - exact) / exact_norm
 
 
 def _exact_component(ops, comp: str):
@@ -442,21 +478,15 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
     mesh = bundle.mesh
     candidates = cut_candidates(mesh, cfg.mu_min, cfg.mu_max, CENTER)
 
-    eval_models = bundle.deim_models
-    if deim_dims:
-        eval_models = {
-            comp: (truncate_model(model, deim_dims[comp], mesh,
-                                  bundle.face_table, candidates)
-                   if comp in deim_dims else model)
-            for comp, model in bundle.deim_models.items()}
-    eval_basis = bundle.basis
-    if modes is not None:
-        eval_basis = _truncated_basis(bundle, modes)
+    rom = bundle.rom
     if modes is not None or deim_dims:
-        rom = precompute_reduced_terms(eval_basis, eval_models, ctx,
-                                       cfg.alpha, CENTER)
-    else:
-        rom = bundle.rom
+        models = {comp: truncate_model(model, deim_dims[comp], mesh,
+                                       bundle.face_table, candidates)
+                  if comp in (deim_dims or {}) else model
+                  for comp, model in bundle.deim_models.items()}
+        basis = bundle.basis if modes is None \
+            else _truncated_basis(bundle, modes)
+        rom = precompute_reduced_terms(basis, models, ctx, cfg.alpha, CENTER)
 
     mus = sample_test_parameters(cfg)
     full_solutions = []
@@ -470,16 +500,15 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
         comp_errs = {}
         for comp, model in rom.deim.items():
             exact = _exact_component(ops, comp)
-            norm = spectral_norm(exact) if model.pattern is not None \
-                else float(np.linalg.norm(exact))
             comp_errs[comp] = _component_error(model, rom.assemblers[comp],
-                                               float(mu), exact, norm)
+                                               float(mu), exact,
+                                               _norm(model, exact))
         error_rows.append((mu, errs[0], errs[1], errs[2], comp_errs["A"],
                            comp_errs["M"], comp_errs["b"], comp_errs["c"]))
         full_solutions.append(full)
         all_ops.append(ops)
 
-    with _OutputLock(out):
+    with _output_lock(out):
         write_csv(out / "online_errors.csv",
                   ["mu", "err_y", "err_u", "err_p", "deim_err_A",
                    "deim_err_M", "deim_err_b", "deim_err_c"], error_rows)
@@ -509,14 +538,10 @@ def _truncated_basis(bundle: OfflineBundle, k: int) -> AggregatedBasis:
 def _deim_sweep(bundle: OfflineBundle, all_ops, mus, candidates):
     """Mean reconstruction error per component over a grid of dimensions."""
     rows = []
-    exact_norms = {}
     for comp in COMPONENTS:
         model = bundle.deim_models[comp]
         exact = [_exact_component(ops, comp) for ops in all_ops]
-        if model.pattern is None:
-            exact_norms[comp] = [float(np.linalg.norm(e)) for e in exact]
-        else:
-            exact_norms[comp] = [spectral_norm(e) for e in exact]
+        norms = [_norm(model, e) for e in exact]
         for m in DEIM_SWEEP:
             if m > model.m:
                 continue
@@ -524,7 +549,7 @@ def _deim_sweep(bundle: OfflineBundle, all_ops, mus, candidates):
                                  candidates)
             asm = PartialAssembler(sub, bundle.ctx, CENTER)
             errs = [_component_error(sub, asm, float(mu), e, nz)
-                    for mu, e, nz in zip(mus, exact, exact_norms[comp])]
+                    for mu, e, nz in zip(mus, exact, norms)]
             rows.append((comp, m, float(np.mean(errs))))
     return rows
 
@@ -557,13 +582,9 @@ def _timing_report(bundle: OfflineBundle, rom: RomModel, mu0: float):
     t_full_solve = median_time(
         lambda: solve_kkt(assemble_kkt(ops0, cfg.alpha)))
 
-    sol = rom_solve(rom, mu0)
-    phases = {k: [] for k in sol.timings}
-    for _ in range(TIMING_REPEATS):
-        phases_k = rom_solve(rom, mu0).timings
-        for k, v in phases_k.items():
-            phases[k].append(v)
-    rom_t = {k: float(np.median(v)) for k, v in phases.items()}
+    rom_solve(rom, mu0)  # warm-up
+    runs = [rom_solve(rom, mu0).timings for _ in range(TIMING_REPEATS)]
+    rom_t = {k: float(np.median([r[k] for r in runs])) for k in runs[0]}
 
     rows = [
         ("dofs", bundle.mesh.dof_count),

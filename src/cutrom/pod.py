@@ -1,4 +1,4 @@
-"""Snapshot generation and proper orthogonal decomposition.
+"""Training samples and proper orthogonal decomposition.
 
 Bases are extracted with the method of snapshots: the M x M correlation
 matrix C = S^T W S / M is diagonalized and the basis vectors are the
@@ -13,16 +13,13 @@ trial and test blocks of the reduced optimality system.
 
 from __future__ import annotations
 
-import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import AssemblyContext
 from .errors import NumericalError
-from .kkt import assemble_kkt, solve_kkt
 
 DUPLICATE_TOL = 1e-12
 DROP_TOL = 1e-10   # rank-revealing column drop in the aggregation
@@ -59,41 +56,6 @@ class SnapshotSet:
     S_y: np.ndarray                # (N, M)
     S_u: np.ndarray
     S_p: np.ndarray
-    inner_product: sp.csr_matrix   # background-box mass matrix
-    assembly_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    solve_times: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @property
-    def count(self) -> int:
-        return self.params.size
-
-
-def compute_snapshots(params, ctx: AssemblyContext,
-                      inner_product: sp.csr_matrix,
-                      center=(1.0, 1.0)) -> SnapshotSet:
-    """Solve the full optimality system for every training parameter."""
-    from .assembly import assemble_operators
-
-    params = np.asarray(params, dtype=float)
-    n = ctx.mesh.dof_count
-    S_y = np.zeros((n, params.size))
-    S_u = np.zeros((n, params.size))
-    S_p = np.zeros((n, params.size))
-    t_asm = np.zeros(params.size)
-    t_sol = np.zeros(params.size)
-    for k, mu in enumerate(params):
-        t0 = time.perf_counter()
-        ops = assemble_operators(ctx, float(mu), center)
-        t_asm[k] = time.perf_counter() - t0
-        try:
-            sol = solve_kkt(assemble_kkt(ops, ctx.case.alpha))
-        except NumericalError as exc:
-            raise NumericalError(f"snapshot solve failed at mu={mu}") from exc
-        S_y[:, k] = sol.y
-        S_u[:, k] = sol.u
-        S_p[:, k] = sol.p
-        t_sol[k] = sol.solve_time
-    return SnapshotSet(params, S_y, S_u, S_p, inner_product, t_asm, t_sol)
 
 
 @dataclass

@@ -17,6 +17,8 @@ from .errors import ConfigError
 
 MAGIC = b"ROMB"
 VERSION = 1
+# offline stages in build order; 'stages' selects a subset of them
+STAGES = ("snapshots", "pod", "deim", "rom")
 
 
 def save_matrix(path, matrix: np.ndarray) -> None:
@@ -164,11 +166,17 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("alpha, gamma_d, gamma_1 must be positive")
     if not (0 <= cfg.eps_pod < 1 and 0 <= cfg.eps_deim < 1):
         raise ConfigError("tolerances must lie in [0, 1)")
-    known = {"snapshots", "pod", "deim", "rom"}
-    if cfg.stages != "all":
-        chosen = {s.strip() for s in cfg.stages.split(",") if s.strip()}
-        if not chosen or not chosen <= known:
-            raise ConfigError(f"stages must be 'all' or a subset of {known}")
+    selected_stages(cfg)
+
+
+def selected_stages(cfg: RunConfig) -> set[str]:
+    if cfg.stages == "all":
+        return set(STAGES)
+    chosen = {s.strip() for s in cfg.stages.split(",") if s.strip()}
+    if not chosen or not chosen <= set(STAGES):
+        raise ConfigError("stages must be 'all' or a subset of "
+                          + ",".join(STAGES))
+    return chosen
 
 
 def config_echo(cfg: RunConfig) -> str:

@@ -3,9 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from cutrom import AssemblyContext, LevelSetSquare, ProblemCase, \
-    assemble_mass, assemble_operators, assemble_rhs_forcing, \
-    assemble_rhs_target, assemble_stiffness, box_mass_matrix, \
-    build_background_mesh, build_face_table, classify_elements, square_poisson
+    assemble_operators, box_mass_matrix, build_background_mesh, \
+    build_face_table, classify_elements, square_poisson
 from cutrom.errors import PatternOverflowError
 
 
@@ -262,18 +261,6 @@ def test_pattern_overflow_outside_declared_range(coarse_problem):
     assemble_operators(ctx, 0.41)  # inside the range: fine
     with pytest.raises(PatternOverflowError):
         assemble_operators(ctx, 0.50)
-
-
-def test_standalone_wrappers(coarse_problem):
-    mesh = coarse_problem["mesh"]
-    ft = coarse_problem["face_table"]
-    case = coarse_problem["case"]
-    geom = classify_elements(mesh, ft, LevelSetSquare(0.44))
-    ops = coarse_problem["ctx"].assemble(geom)
-    assert np.abs(assemble_stiffness(mesh, geom, case) - ops.A).max() == 0.0
-    assert np.abs(assemble_mass(mesh, geom) - ops.M).max() == 0.0
-    assert np.array_equal(assemble_rhs_target(mesh, geom, case), ops.b)
-    assert np.array_equal(assemble_rhs_forcing(mesh, geom, case), ops.c)
 
 
 def test_box_mass_matrix_exact(bench_mesh):

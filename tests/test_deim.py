@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cutrom import assemble_operators, build_reduced_mesh, \
-    collect_operator_snapshots, deim_basis, deim_select, spectral_norm
+from cutrom import assemble_operators, box_mass_matrix, build_reduced_mesh, \
+    deim_basis, deim_select, spectral_norm, training_sweep
 from cutrom.deim import OperatorSnapshots, PartialAssembler, \
     model_from_snapshots, truncate_model
 from cutrom.errors import NumericalError
@@ -96,7 +96,8 @@ def test_select_truncates_rank_deficient_basis():
 @pytest.fixture(scope="module")
 def operator_snaps(coarse_problem):
     params = np.linspace(0.4, 0.5, 16)
-    return collect_operator_snapshots(params, coarse_problem["ctx"])
+    return training_sweep(params, coarse_problem["ctx"],
+                          coarse_problem["W"])[1]
 
 
 def test_snapshot_structure(operator_snaps, coarse_problem):
@@ -109,7 +110,8 @@ def test_snapshot_structure(operator_snaps, coarse_problem):
 
 
 def test_identical_parameters_give_identical_columns(coarse_problem):
-    snaps = collect_operator_snapshots([0.43, 0.43], coarse_problem["ctx"])
+    snaps = training_sweep([0.43, 0.43], coarse_problem["ctx"],
+                           coarse_problem["W"])[1]
     for comp in "AMbc":
         v = snaps[comp].values
         assert np.array_equal(v[:, 0], v[:, 1])
@@ -268,7 +270,7 @@ def test_reduced_mesh_size_at_benchmark_resolution(bench_mesh, bench_faces):
     ctx = AssemblyContext(bench_mesh, bench_faces, square_poisson(),
                           mu_range=(0.4, 0.5))
     params = np.linspace(0.4, 0.5, 20)
-    snaps = collect_operator_snapshots(params, ctx)
+    snaps = training_sweep(params, ctx, box_mass_matrix(bench_mesh))[1]
     basis = deim_basis(snaps["A"], eps=1e-10)
     cand = cut_candidates(bench_mesh, 0.4, 0.5)
     model = model_from_snapshots(basis, min(5, basis.m), snaps["A"],

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cutrom import aggregate_basis, assemble_operators, compute_snapshots, \
-    pod_basis, sample_parameters
+from cutrom import aggregate_basis, assemble_operators, pod_basis, \
+    sample_parameters, training_sweep
 from cutrom.pod import energy_cutoff
 
 
@@ -88,8 +88,8 @@ def test_pod_all_zero_snapshots():
 @pytest.fixture(scope="module")
 def snapshot_set(coarse_problem):
     params = sample_parameters(0.4, 0.5, 14, seed=2)
-    return compute_snapshots(params, coarse_problem["ctx"],
-                             coarse_problem["W"])
+    return training_sweep(params, coarse_problem["ctx"],
+                          coarse_problem["W"])[0]
 
 
 def test_snapshots_zero_on_inactive(snapshot_set, coarse_problem):
@@ -105,8 +105,8 @@ def test_snapshots_zero_on_inactive(snapshot_set, coarse_problem):
 def test_single_parameter_snapshot(coarse_problem):
     from cutrom import assemble_kkt, solve_kkt
 
-    snaps = compute_snapshots([0.44], coarse_problem["ctx"],
-                              coarse_problem["W"])
+    snaps = training_sweep([0.44], coarse_problem["ctx"],
+                           coarse_problem["W"])[0]
     ops = assemble_operators(coarse_problem["ctx"], 0.44)
     sol = solve_kkt(assemble_kkt(ops, coarse_problem["case"].alpha))
     assert np.array_equal(snaps.S_y[:, 0], sol.y)
@@ -114,8 +114,8 @@ def test_single_parameter_snapshot(coarse_problem):
 
 
 def test_duplicate_parameter_gives_identical_columns(coarse_problem):
-    snaps = compute_snapshots([0.45, 0.45], coarse_problem["ctx"],
-                              coarse_problem["W"])
+    snaps = training_sweep([0.45, 0.45], coarse_problem["ctx"],
+                           coarse_problem["W"])[0]
     assert np.array_equal(snaps.S_y[:, 0], snaps.S_y[:, 1])
     assert np.array_equal(snaps.S_u[:, 0], snaps.S_u[:, 1])
 
