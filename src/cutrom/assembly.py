@@ -201,6 +201,7 @@ class AssemblyContext:
         self.face_table = face_table
         self.case = case
         self.mu_range = mu_range
+        self.center = center
         self.h = mesh.h
         self.grads = p1_gradients(mesh)                    # (ne, 3, 2)
         self.centroids = mesh.element_coords().mean(axis=1)

@@ -254,11 +254,9 @@ class PartialAssembler:
     so the cost scales with the reduced mesh and not with the mesh size.
     """
 
-    def __init__(self, model: DeimModel, ctx: AssemblyContext,
-                 center=(1.0, 1.0)):
+    def __init__(self, model: DeimModel, ctx: AssemblyContext):
         self.model = model
         self.ctx = ctx
-        self.center = center
         self.elems = model.reduced_elements
         self.facets = model.reduced_facets
         self.coords = ctx.mesh.element_coords(self.elems)
@@ -274,7 +272,7 @@ class PartialAssembler:
         """Selected operator entries, identical to a full assembly there."""
         model = self.model
         ctx = self.ctx
-        sub = subset_geometry(ctx.mesh, LevelSetSquare(mu, self.center),
+        sub = subset_geometry(ctx.mesh, LevelSetSquare(mu, ctx.center),
                               self.elems, coords=self.coords)
         ghost = self._active_ghosts(sub) if model.component == "A" \
             else np.zeros(0, dtype=np.int64)
@@ -322,8 +320,9 @@ def spectral_norm(mat, iters: int = 120) -> float:
     n = mat.shape[1]
     v = np.full(n, 1.0 / np.sqrt(n))
     last = 0.0
+    mat_t = mat.T
     for _ in range(iters):
-        w = mat.T @ (mat @ v)
+        w = mat_t @ (mat @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0

@@ -118,30 +118,23 @@ def build_face_table(mesh: BackgroundMesh) -> FaceTable:
     Faces are ordered deterministically by first appearance while walking
     elements in index order; the first incident element is the left one.
     """
-    face_index: dict[tuple[int, int], int] = {}
-    faces: list[tuple[int, int]] = []
-    left: list[int] = []
-    right: list[int] = []
-    elem_faces = np.empty((mesh.n_elements, 3), dtype=np.int64)
-
-    for e, (a, b, c) in enumerate(mesh.elements):
-        for k, (p, q) in enumerate(((a, b), (b, c), (c, a))):
-            key = (p, q) if p < q else (q, p)
-            idx = face_index.get(key)
-            if idx is None:
-                idx = len(faces)
-                face_index[key] = idx
-                faces.append(key)
-                left.append(e)
-                right.append(-1)
-            else:
-                right[idx] = e
-            elem_faces[e, k] = idx
-
-    return FaceTable(np.asarray(faces, dtype=np.int64),
-                     np.asarray(left, dtype=np.int64),
-                     np.asarray(right, dtype=np.int64),
-                     elem_faces)
+    # edge k of element e is row 3e+k: (a,b), (b,c), (c,a)
+    p = mesh.elements.ravel()
+    q = mesh.elements[:, [1, 2, 0]].ravel()
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    _, first, inverse = np.unique(lo * mesh.dof_count + hi,
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    face_of = rank[inverse.ravel()]
+    starts = first[order]
+    right = np.full(order.size, -1, dtype=np.int64)
+    # an edge row that is not its face's first belongs to the second element
+    second = np.flatnonzero(starts[face_of] != np.arange(p.size))
+    right[face_of[second]] = second // 3
+    return FaceTable(np.column_stack([lo[starts], hi[starts]]), starts // 3,
+                     right, face_of.reshape(-1, 3))
 
 
 def element_areas(mesh: BackgroundMesh) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Offline/online orchestration, artifact bundle and CSV reports.
 
-The offline run persists everything a later online run needs: the mesh is
-replayed from the resolved config (and checked against a fingerprint), the
-bases, interpolation data and reduced terms are stored in the matrix
-container format.  Online runs solve full and reduced models on a fresh
-test sample and emit deterministic error reports; timings go to their own
-file so that error CSVs are byte-identical across runs.
+The offline run persists the outputs of its stages: the mesh is replayed
+from the resolved config (and checked against a fingerprint), the POD bases
+and interpolation data are stored in the matrix container format, and the
+aggregated basis and reduced terms are derived from them on every load.
+Online runs solve full and reduced models on a fresh test sample and emit
+deterministic error reports; timings go to their own file so that error
+CSVs are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -175,12 +176,9 @@ def _snapshots_load(out: Path, s):
 
 def _pod_build(s):
     cfg, W = s["cfg"], s["W"]
-    pod = {var: pod_basis(getattr(s["snapshots"], f"S_{var}"), W,
-                          cfg.eps_pod, min_stored=cfg.pod_store)
-           for var in VARS}
-    basis = aggregate_basis(*(pod[v].vectors[:, :pod[v].retained]
-                              for v in VARS), W)
-    return {"pod": pod, "basis": basis}
+    return {"pod": {var: pod_basis(getattr(s["snapshots"], f"S_{var}"), W,
+                                   cfg.eps_pod, min_stored=cfg.pod_store)
+                    for var in VARS}}
 
 
 def _pod_save(out: Path, s) -> None:
@@ -189,8 +187,6 @@ def _pod_save(out: Path, s) -> None:
         save_matrix(out / f"pod_basis_{var}.romb", pod[var].vectors)
         save_matrix(out / f"pod_eigs_{var}.romb", pod[var].eigenvalues)
     save_index_list(out / "pod_retained.txt", [pod[v].retained for v in VARS])
-    save_matrix(out / "basis_vyp.romb", s["basis"].V_yp)
-    save_matrix(out / "basis_vu.romb", s["basis"].V_u)
 
 
 def _pod_load(out: Path, s):
@@ -199,9 +195,7 @@ def _pod_load(out: Path, s):
                          load_matrix(out / f"pod_eigs_{var}.romb").ravel(),
                          int(retained[k]), s["cfg"].eps_pod)
            for k, var in enumerate(VARS)}
-    return {"pod": pod,
-            "basis": AggregatedBasis(load_matrix(out / "basis_vyp.romb"),
-                                     load_matrix(out / "basis_vu.romb"))}
+    return {"pod": pod}
 
 
 def _deim_build(s):
@@ -248,37 +242,6 @@ def _deim_load(out: Path, s):
     return {"deim_models": models}
 
 
-def _rom_build(s):
-    return {"rom": precompute_reduced_terms(
-        s["basis"], s["deim_models"], s["ctx"], s["cfg"].alpha, CENTER)}
-
-
-def _rom_save(out: Path, s) -> None:
-    rom, nyp, nu = s["rom"], s["basis"].n_yp, s["basis"].n_u
-    save_matrix(out / "rom_a_terms.romb", rom.A_terms.reshape(-1, nyp))
-    save_matrix(out / "rom_myp_terms.romb", rom.M_yp_terms.reshape(-1, nyp))
-    save_matrix(out / "rom_mu_terms.romb",
-                rom.M_u_terms.reshape(-1, max(nu, 1)))
-    save_matrix(out / "rom_muyp_terms.romb", rom.M_uyp_terms.reshape(-1, nyp))
-    save_matrix(out / "rom_b_terms.romb", rom.b_terms)
-    save_matrix(out / "rom_c_terms.romb", rom.c_terms)
-
-
-def _rom_load(out: Path, s):
-    basis, models, ctx = s["basis"], s["deim_models"], s["ctx"]
-    nyp, nu = basis.n_yp, basis.n_u
-    a = load_matrix(out / "rom_a_terms.romb").reshape(-1, nyp, nyp)
-    myp = load_matrix(out / "rom_myp_terms.romb").reshape(-1, nyp, nyp)
-    mu_t = load_matrix(out / "rom_mu_terms.romb").reshape(-1, nu, max(nu, 1))
-    muyp = load_matrix(out / "rom_muyp_terms.romb").reshape(-1, nu, nyp)
-    assemblers = {comp: PartialAssembler(model, ctx, CENTER)
-                  for comp, model in models.items()}
-    return {"rom": RomModel(basis, s["cfg"].alpha, a, myp, mu_t[:, :, :nu],
-                            muyp, load_matrix(out / "rom_b_terms.romb"),
-                            load_matrix(out / "rom_c_terms.romb"),
-                            dict(models), assemblers)}
-
-
 class _Stage(NamedTuple):
     reads: tuple[str, ...]     # stages whose results the build step uses
     keys: tuple[str, ...]      # RunConfig keys the build step uses
@@ -295,8 +258,14 @@ STAGE_TABLE = dict(zip(STAGES, (
     _Stage(("snapshots",), ("eps_pod", "pod_store"),
            _pod_build, _pod_save, _pod_load),
     _Stage(("snapshots",), ("eps_deim",), _deim_build, _deim_save, _deim_load),
-    _Stage(("pod", "deim"), (), _rom_build, _rom_save, _rom_load),
 )))
+
+
+def _aggregated(pod: dict[str, PodBasis], W, k: int | None = None):
+    """State/adjoint aggregation of the first k stored modes per variable
+    (those with fewer use all they have); by default the retained modes."""
+    return aggregate_basis(*(pod[v].truncated(pod[v].retained if k is None
+                                              else k) for v in VARS), W)
 
 
 def _stage_config(cfg: RunConfig, name: str) -> dict:
@@ -355,7 +324,8 @@ def _walk(cfg: RunConfig, ctx: AssemblyContext, W, out: Path,
           selected: set[str], inputs: list[str]):
     """Build and save the selected stages and load the inputs, in order.
 
-    Returns the bundle of everything built or loaded and the build times.
+    Returns the bundle of everything built, loaded or derived and the
+    build times.
     """
     state, timings = {"cfg": cfg, "ctx": ctx, "W": W}, []
     for name, stage in STAGE_TABLE.items():
@@ -371,6 +341,15 @@ def _walk(cfg: RunConfig, ctx: AssemblyContext, W, out: Path,
                 raise ConfigError(f"stage '{name}' in {out} is unreadable "
                                   f"({exc}); rerun offline with '{name}' "
                                   f"in stages") from exc
+    if "pod" in state:
+        basis = _aggregated(state["pod"], W)
+        # a column slice of the stored modes is strided; the lift is faster
+        # on a contiguous copy
+        state["basis"] = AggregatedBasis(basis.V_yp,
+                                         np.ascontiguousarray(basis.V_u))
+        if "deim_models" in state:
+            state["rom"] = precompute_reduced_terms(
+                state["basis"], state["deim_models"], ctx, cfg.alpha)
     get = state.get
     return OfflineBundle(cfg, ctx.mesh, ctx, W, get("params"),
                          get("snapshots"), get("pod"), get("basis"),
@@ -485,8 +464,8 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
                   if comp in (deim_dims or {}) else model
                   for comp, model in bundle.deim_models.items()}
         basis = bundle.basis if modes is None \
-            else _truncated_basis(bundle, modes)
-        rom = precompute_reduced_terms(basis, models, ctx, cfg.alpha, CENTER)
+            else _aggregated(bundle.pod, bundle.W, modes)
+        rom = precompute_reduced_terms(basis, models, ctx, cfg.alpha)
 
     mus = sample_test_parameters(cfg)
     full_solutions = []
@@ -529,12 +508,6 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
             "modes": sweep_rows, "timings": dict(timing_rows)}
 
 
-def _truncated_basis(bundle: OfflineBundle, k: int) -> AggregatedBasis:
-    return aggregate_basis(bundle.pod["y"].truncated(k),
-                           bundle.pod["u"].truncated(k),
-                           bundle.pod["p"].truncated(k), bundle.W)
-
-
 def _deim_sweep(bundle: OfflineBundle, all_ops, mus, candidates):
     """Mean reconstruction error per component over a grid of dimensions."""
     rows = []
@@ -547,7 +520,7 @@ def _deim_sweep(bundle: OfflineBundle, all_ops, mus, candidates):
                 continue
             sub = truncate_model(model, m, bundle.mesh, bundle.face_table,
                                  candidates)
-            asm = PartialAssembler(sub, bundle.ctx, CENTER)
+            asm = PartialAssembler(sub, bundle.ctx)
             errs = [_component_error(sub, asm, float(mu), e, nz)
                     for mu, e, nz in zip(mus, exact, norms)]
             rows.append((comp, m, float(np.mean(errs))))
@@ -559,9 +532,9 @@ def _modes_sweep(bundle: OfflineBundle, full_solutions, all_ops, mus):
     rows = []
     for k in MODES_SWEEP:
         # variables with fewer stored modes than k use all they have
-        basis_k = _truncated_basis(bundle, k)
+        basis_k = _aggregated(bundle.pod, bundle.W, k)
         rom_k = precompute_reduced_terms(basis_k, bundle.deim_models,
-                                         bundle.ctx, bundle.cfg.alpha, CENTER)
+                                         bundle.ctx, bundle.cfg.alpha)
         errs = np.zeros((len(mus), 3))
         for i, mu in enumerate(mus):
             sol = rom_solve(rom_k, float(mu))

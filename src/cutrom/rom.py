@@ -71,8 +71,7 @@ class RomSolution:
 
 def precompute_reduced_terms(basis: AggregatedBasis,
                              deim_models: dict[str, DeimModel],
-                             ctx: AssemblyContext, alpha: float,
-                             center=(1.0, 1.0)) -> RomModel:
+                             ctx: AssemblyContext, alpha: float) -> RomModel:
     """Project every interpolation term onto the aggregated basis.
 
     Terms are the columns of the oblique projector U (P^T U)^-1, so the
@@ -102,7 +101,7 @@ def precompute_reduced_terms(basis: AggregatedBasis,
     b_terms = deim_models["b"].projector.T @ Vyp
     c_terms = deim_models["c"].projector.T @ Vyp
 
-    assemblers = {comp: PartialAssembler(model, ctx, center)
+    assemblers = {comp: PartialAssembler(model, ctx)
                   for comp, model in deim_models.items()}
     return RomModel(basis, alpha, A_terms, M_yp, M_u, M_uyp,
                     b_terms, c_terms, dict(deim_models), assemblers)

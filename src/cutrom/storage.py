@@ -18,7 +18,7 @@ from .errors import ConfigError
 MAGIC = b"ROMB"
 VERSION = 1
 # offline stages in build order; 'stages' selects a subset of them
-STAGES = ("snapshots", "pod", "deim", "rom")
+STAGES = ("snapshots", "pod", "deim")
 
 
 def save_matrix(path, matrix: np.ndarray) -> None:

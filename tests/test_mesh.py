@@ -67,6 +67,30 @@ def test_face_table_two_by_two():
     assert int(ft.interior_mask.sum()) == 8
 
 
+@pytest.mark.parametrize("h", [1.0, 0.5, 1 / 6, 0.3])
+def test_face_numbering_is_first_appearance(h):
+    # facet ids fix the order in which ghost terms accumulate
+    mesh = build_background_mesh((0.0, 0.0), (1.0, 1.0), h)
+    index, faces, left, right = {}, [], [], []
+    e2f = np.empty((mesh.n_elements, 3), dtype=np.int64)
+    for e, (a, b, c) in enumerate(mesh.elements):
+        for k, edge in enumerate(((a, b), (b, c), (c, a))):
+            key = (min(edge), max(edge))
+            if key not in index:
+                index[key] = len(faces)
+                faces.append(key)
+                left.append(e)
+                right.append(-1)
+            else:
+                right[index[key]] = e
+            e2f[e, k] = index[key]
+    ft = build_face_table(mesh)
+    assert np.array_equal(ft.faces, faces)
+    assert np.array_equal(ft.face_left, left)
+    assert np.array_equal(ft.face_right, right)
+    assert np.array_equal(ft.element_to_faces, e2f)
+
+
 def test_face_handshake_identity(bench_mesh, bench_faces):
     incidences = (bench_faces.face_right >= 0).sum() + bench_faces.n_faces
     assert incidences == 3 * bench_mesh.n_elements

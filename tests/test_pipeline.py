@@ -38,15 +38,15 @@ def test_tiny_offline_completes_quickly(tiny_bundle):
     out = tiny_bundle["out"]
     expected = ["config.resolved", "mesh_fingerprint.txt",
                 "params_train.romb", "snap_y.romb", "snap_u.romb",
-                "snap_p.romb", "basis_vyp.romb", "basis_vu.romb",
-                "manifest.json", "offline_summary.csv"]
+                "snap_p.romb", "manifest.json", "offline_summary.csv"]
     expected += [f"pod_basis_{v}.romb" for v in "yup"]
     expected += [f"deim_{c}_{part}" for c in "AMbc"
                  for part in ("U.romb", "proj.romb", "indices.txt",
                               "elements.txt", "facets.txt")]
-    expected += ["rom_a_terms.romb", "rom_b_terms.romb", "rom_c_terms.romb"]
     for name in expected:
         assert (out / name).is_file(), name
+    # the aggregated basis and the reduced terms are derived on load
+    assert not list(out.glob("basis_v*")) and not list(out.glob("rom_*"))
     assert not (out / ".lock").exists()
 
 
@@ -79,6 +79,8 @@ def test_bundle_roundtrip(tiny_bundle):
     ref = tiny_bundle["bundle"]
     assert np.array_equal(bundle.params, ref.params)
     assert np.array_equal(bundle.basis.V_yp, ref.basis.V_yp)
+    assert np.array_equal(bundle.basis.V_u, ref.basis.V_u)
+    assert bundle.basis.V_u.flags.c_contiguous
     for comp in "AMbc":
         assert np.array_equal(bundle.deim_models[comp].indices,
                               ref.deim_models[comp].indices)
@@ -182,11 +184,11 @@ def test_stage_selectors_reuse_artifacts(tmp_path):
     base = dict(TINY, out_dir=str(out))
     run_offline(RunConfig(**{**base, "stages": "snapshots"}))
     assert (out / "snap_y.romb").is_file()
-    assert not (out / "basis_vyp.romb").exists()
+    assert not (out / "pod_basis_y.romb").exists()
     snap_mtime = (out / "snap_y.romb").stat().st_mtime_ns
-    run_offline(RunConfig(**{**base, "stages": "pod,deim,rom"}))
+    run_offline(RunConfig(**{**base, "stages": "pod,deim"}))
     assert (out / "snap_y.romb").stat().st_mtime_ns == snap_mtime
-    assert (out / "rom_a_terms.romb").is_file()
+    assert (out / "deim_A_proj.romb").is_file()
     # the staged bundle is equivalent to a single-shot run
     staged = load_bundle(out)
     full = run_offline(RunConfig(**TINY, out_dir=str(tmp_path / "oneshot")))
@@ -253,20 +255,16 @@ def _cli(tmp_path, command, out, **kw):
     return cli_main([command, "--config", str(cfg_path)])
 
 
-def test_pod_rerun_drops_rom_until_rebuilt(tmp_path, capsys):
+def test_pod_rerun_serves_online_at_once(tmp_path):
     out = tmp_path / "b"
     assert _cli(tmp_path, "offline", out) == 0
     assert _cli(tmp_path, "offline", out, stages="pod", eps_pod=1e-2) == 0
-    capsys.readouterr()
-    assert _cli(tmp_path, "online", out, eps_pod=1e-2) == 2
-    assert "'rom'" in capsys.readouterr().err
-    assert _cli(tmp_path, "offline", out, stages="rom", eps_pod=1e-2) == 0
+    assert _cli(tmp_path, "online", out, eps_pod=1e-2) == 0
     oneshot = tmp_path / "oneshot"
     assert _cli(tmp_path, "offline", oneshot, eps_pod=1e-2) == 0
     staged, ref = load_bundle(out), load_bundle(oneshot)
     assert staged.rom.A_terms.shape == ref.rom.A_terms.shape
     assert np.array_equal(staged.rom.A_terms, ref.rom.A_terms)
-    assert _cli(tmp_path, "online", out, eps_pod=1e-2) == 0
 
 
 def test_snapshot_rerun_with_new_seed_is_rejected_online(tmp_path, capsys):
@@ -297,7 +295,7 @@ def test_format_1_manifest_is_rejected(tmp_path):
     (out / "manifest.json").write_text('{"format": 1}\n', encoding="utf-8")
     assert _cli(tmp_path, "online", out) == 2
     assert _cli(tmp_path, "verify", out) == 2
-    assert _cli(tmp_path, "offline", out, stages="rom") == 2
+    assert _cli(tmp_path, "offline", out, stages="pod") == 2
     assert _cli(tmp_path, "offline", out) == 0
     assert _cli(tmp_path, "online", out) == 0
 

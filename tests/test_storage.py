@@ -125,4 +125,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         validate_config(RunConfig(stages="pod,unknown"))
     with pytest.raises(ConfigError):
+        validate_config(RunConfig(stages="rom"))
+    with pytest.raises(ConfigError):
         validate_config(RunConfig(eps_pod=1.5))
