@@ -7,13 +7,24 @@ The first-order conditions couple state, control and adjoint into one
     [ 0  aM  -M^T ] [u] = [0]
     [ A  -M    0  ] [p]   [c]
 
-Rows of DOFs outside the active mesh are replaced by unit-diagonal rows with
-zero right-hand side, which pins those solution components to exact zeros
-without perturbing the physical blocks.
+whose rows at DOFs outside the active mesh are pinned to zero.  On the
+active DOFs the control row gives u = p/a, so the solve factors the
+condensed system of 2 n_active rows
+
+    [ M_aa   A_aa^T  ] [y_a]   [b_a]
+    [ A_aa  -M_aa/a  ] [p_a] = [c_a]
+
+and sets u = p/a there.  An active DOF with an empty mass row (a boundary
+exactly on mesh lines) has a free control component that enters no
+equation; it is set to zero, as is every component outside the active
+mesh.  The pinned 3N system stays available as ``KktSystem.matrix`` and
+``.rhs``, built on first access, and the solve checks its residual one
+block row at a time without forming it.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -29,12 +40,55 @@ RESIDUAL_TOL = 1e-9
 
 @dataclass
 class KktSystem:
-    matrix: sp.csr_matrix          # 3N x 3N
-    rhs: np.ndarray                # (3N,)
-    n: int
-    mu: float
-    active_dofs: np.ndarray
-    inactive_dofs: np.ndarray
+    ops: ParametricOperators
+    alpha: float
+    condensed: sp.csc_matrix       # 2 n_active x 2 n_active
+    condensed_rhs: np.ndarray      # (2 n_active,)
+
+    @property
+    def n(self) -> int:
+        return self.ops.A.shape[0]
+
+    @property
+    def mu(self) -> float:
+        return self.ops.mu
+
+    @property
+    def active_dofs(self) -> np.ndarray:
+        return self.ops.active_dofs
+
+    @functools.cached_property
+    def free_controls(self) -> np.ndarray:
+        """Active DOFs whose mass row is empty."""
+        active = self.active_dofs
+        return active[self.ops.M.diagonal()[active] == 0.0]
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The pinned 3N x 3N system (unit rows at inactive DOFs and at
+        free controls), of which the condensed solve is the exact solution.
+        """
+        ops, n = self.ops, self.n
+        big = sp.bmat([[ops.M, None, ops.A.T],
+                       [None, self.alpha * ops.M, -ops.M.T],
+                       [ops.A, -ops.M, None]], format="csr")
+        mask = np.ones(n, dtype=bool)
+        mask[self.active_dofs] = False
+        inactive = np.flatnonzero(mask)
+        diag = np.zeros(3 * n)
+        for k in range(3):
+            diag[k * n + inactive] = 1.0
+        diag[n + self.free_controls] = 1.0
+        return (big + sp.diags(diag)).tocsr()
+
+    @functools.cached_property
+    def rhs(self) -> np.ndarray:
+        """Right-hand side of the pinned 3N system."""
+        active, n = self.active_dofs, self.n
+        rhs = np.zeros(3 * n)
+        rhs[active] = self.ops.b[active]
+        rhs[2 * n + active] = self.ops.c[active]
+        return rhs
 
 
 @dataclass
@@ -44,55 +98,57 @@ class FullSolution:
     p: np.ndarray
     mu: float
     solve_time: float
+    # relative residual of the 3N system; nan where no solve computed it
+    residual: float = float("nan")
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.y, self.u, self.p])
 
 
 def assemble_kkt(ops: ParametricOperators, alpha: float) -> KktSystem:
-    """Form the block system and regularize the inactive DOF rows."""
+    """Form the condensed system on the active DOFs."""
     n = ops.A.shape[0]
     if ops.M.shape != (n, n) or ops.b.shape != (n,) or ops.c.shape != (n,):
         raise ValueError("inconsistent operator dimensions")
-    big = sp.bmat([[ops.M, None, ops.A.T],
-                   [None, alpha * ops.M, -ops.M.T],
-                   [ops.A, -ops.M, None]], format="csr")
-    mask = np.ones(n, dtype=bool)
-    mask[ops.active_dofs] = False
-    inactive = np.flatnonzero(mask)
-    diag = np.zeros(3 * n)
-    for k in range(3):
-        diag[k * n + inactive] = 1.0
-    # a boundary exactly aligned with mesh edges leaves active DOFs with an
-    # empty mass row; their control component is free and is pinned to zero
-    free_u = np.flatnonzero(~mask & (ops.M.diagonal() == 0.0))
-    diag[n + free_u] = 1.0
-    big = (big + sp.diags(diag)).tocsr()
-    rhs = np.concatenate([ops.b, np.zeros(n), ops.c])
-    for k in range(3):
-        rhs[k * n + inactive] = 0.0
-    return KktSystem(big, rhs, n, ops.mu, ops.active_dofs, inactive)
+    active = ops.active_dofs
+    M_aa = ops.M[active][:, active]
+    A_aa = ops.A[active][:, active]
+    K = sp.bmat([[M_aa, A_aa.T], [A_aa, -M_aa / alpha]], format="csc")
+    rhs = np.concatenate([ops.b[active], ops.c[active]])
+    return KktSystem(ops, alpha, K, rhs)
+
+
+def _residual(system: KktSystem, y, u, p) -> float:
+    """Relative residual of the pinned 3N system, one block row at a time."""
+    ops, rhs = system.ops, system.rhs
+    lhs = np.concatenate([ops.M @ y + ops.A.T @ p,
+                          system.alpha * (ops.M @ u) - ops.M.T @ p,
+                          ops.A @ y - ops.M @ u])
+    return float(np.linalg.norm(lhs - rhs) / (np.linalg.norm(rhs) + 1e-30))
 
 
 def solve_kkt(system: KktSystem) -> FullSolution:
-    """Sparse LU solve with a relative-residual check."""
+    """Sparse LU solve of the condensed system with a check of the relative
+    residual of the 3N system."""
     t0 = time.perf_counter()
     try:
-        lu = spla.splu(system.matrix.tocsc())
-        x = lu.solve(system.rhs)
+        x = spla.splu(system.condensed).solve(system.condensed_rhs)
     except RuntimeError as exc:  # SuperLU reports the failing pivot
         raise NumericalError(
             f"singular optimality system at mu={system.mu}: {exc}") from exc
     solve_time = time.perf_counter() - t0
 
-    res = np.linalg.norm(system.matrix @ x - system.rhs) \
-        / (np.linalg.norm(system.rhs) + 1e-30)
+    active, n = system.active_dofs, system.n
+    y, u, p = np.zeros(n), np.zeros(n), np.zeros(n)
+    y[active] = x[:active.size]
+    p[active] = x[active.size:]
+    u[active] = p[active] / system.alpha
+    u[system.free_controls] = 0.0
+    res = _residual(system, y, u, p)
     if not res <= RESIDUAL_TOL:
         raise NumericalError(
             f"optimality solve at mu={system.mu} has residual {res:.3e}")
-    n = system.n
-    return FullSolution(x[:n].copy(), x[n:2 * n].copy(), x[2 * n:].copy(),
-                        system.mu, solve_time)
+    return FullSolution(y, u, p, system.mu, solve_time, res)
 
 
 def cost_value(ops: ParametricOperators, y: np.ndarray, u: np.ndarray,

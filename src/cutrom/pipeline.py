@@ -304,7 +304,9 @@ def _plan(cfg: RunConfig, out: Path, selected: set[str]):
         if name in selected or replaced.intersection(stage.reads):
             replaced.add(name)
     records = {} if replaced == set(STAGES) else _stage_records(out)
-    records = {k: v for k, v in records.items() if k not in replaced}
+    # records of names that are no longer stages are dropped as well
+    records = {k: v for k, v in records.items()
+               if k in STAGE_TABLE and k not in replaced}
     inputs = [name for name in STAGES if name not in selected and (
         not selected or any(name in STAGE_TABLE[s].reads for s in selected))]
     for name in inputs:
@@ -471,6 +473,7 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
     full_solutions = []
     all_ops = []
     error_rows = []
+    norms = {comp: [] for comp in COMPONENTS}   # exact-operator norms
     for mu in mus:
         ops = assemble_operators(ctx, float(mu), CENTER)
         full = solve_kkt(assemble_kkt(ops, cfg.alpha))
@@ -479,9 +482,10 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
         comp_errs = {}
         for comp, model in rom.deim.items():
             exact = _exact_component(ops, comp)
+            norms[comp].append(_norm(model, exact))
             comp_errs[comp] = _component_error(model, rom.assemblers[comp],
                                                float(mu), exact,
-                                               _norm(model, exact))
+                                               norms[comp][-1])
         error_rows.append((mu, errs[0], errs[1], errs[2], comp_errs["A"],
                            comp_errs["M"], comp_errs["b"], comp_errs["c"]))
         full_solutions.append(full)
@@ -492,7 +496,7 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
                   ["mu", "err_y", "err_u", "err_p", "deim_err_A",
                    "deim_err_M", "deim_err_b", "deim_err_c"], error_rows)
 
-        deim_rows = _deim_sweep(bundle, all_ops, mus, candidates)
+        deim_rows = _deim_sweep(bundle, all_ops, mus, candidates, norms)
         write_csv(out / "deim_errors.csv",
                   ["component", "m", "mean_rel_error"], deim_rows)
 
@@ -502,19 +506,22 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
                    "mean_err_u", "mean_err_p"], sweep_rows)
 
         timing_rows = _timing_report(bundle, rom, mus[0])
+        timing_rows.append(("full_residual_max",
+                            max(full.residual for full in full_solutions)))
         write_csv(out / "timings.csv", ["name", "value"], timing_rows)
 
     return {"test_params": mus, "errors": error_rows, "deim": deim_rows,
             "modes": sweep_rows, "timings": dict(timing_rows)}
 
 
-def _deim_sweep(bundle: OfflineBundle, all_ops, mus, candidates):
-    """Mean reconstruction error per component over a grid of dimensions."""
+def _deim_sweep(bundle: OfflineBundle, all_ops, mus, candidates, norms):
+    """Mean reconstruction error per component over a grid of dimensions;
+    ``norms`` holds the exact-operator norms per component and test
+    parameter."""
     rows = []
     for comp in COMPONENTS:
         model = bundle.deim_models[comp]
         exact = [_exact_component(ops, comp) for ops in all_ops]
-        norms = [_norm(model, e) for e in exact]
         for m in DEIM_SWEEP:
             if m > model.m:
                 continue
@@ -522,7 +529,7 @@ def _deim_sweep(bundle: OfflineBundle, all_ops, mus, candidates):
                                  candidates)
             asm = PartialAssembler(sub, bundle.ctx)
             errs = [_component_error(sub, asm, float(mu), e, nz)
-                    for mu, e, nz in zip(mus, exact, norms)]
+                    for mu, e, nz in zip(mus, exact, norms[comp])]
             rows.append((comp, m, float(np.mean(errs))))
     return rows
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from cutrom import ParametricOperators, assemble_kkt, assemble_operators, \
-    solve_kkt
-from cutrom.kkt import cost_value
+from cutrom import ParametricOperators, RunConfig, assemble_kkt, \
+    assemble_operators, solve_kkt
+from cutrom.kkt import RESIDUAL_TOL, cost_value
+from cutrom.pipeline import CENTER, build_problem
 
 
 def _toy_ops(n=1, b=0.0, c=0.0, active=None):
@@ -167,3 +168,37 @@ def test_deterministic_solve(coarse_problem):
     assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.u, b.u)
     assert np.array_equal(a.p, b.p)
+
+
+def test_near_empty_mass_row_gives_bounded_control():
+    # at the default resolution this mu puts an active mass diagonal near
+    # 1e-24; an LU of the pinned 3N system gives max|u| of about 2e9 here
+    cfg = RunConfig()
+    ctx = build_problem(cfg)[3]
+    ops = assemble_operators(ctx, 0.4034487, CENTER)
+    sol = solve_kkt(assemble_kkt(ops, cfg.alpha))
+    assert np.all(np.isfinite(sol.u))
+    assert np.abs(sol.u).max() <= 100.0
+
+
+def test_control_is_scaled_adjoint_bitwise(solved, coarse_problem):
+    alpha = coarse_problem["case"].alpha
+    for ops, _, sol in solved:
+        active = ops.active_dofs[ops.M.diagonal()[ops.active_dofs] != 0.0]
+        assert np.array_equal(sol.u[active], sol.p[active] / alpha)
+
+
+def test_pinned_3n_system_is_solved(solved):
+    for _, system, sol in solved:
+        n = system.n
+        assert system.matrix.shape == (3 * n, 3 * n)
+        assert system.rhs.shape == (3 * n,)
+        res = np.linalg.norm(system.matrix @ sol.stacked() - system.rhs) \
+            / np.linalg.norm(system.rhs)
+        assert res <= 1e-12
+        # the block-row check agrees with the oracle up to rounding
+        assert abs(sol.residual - res) <= 1e-13
+
+
+def test_residual_recorded(solved):
+    assert all(0.0 <= sol.residual <= RESIDUAL_TOL for _, _, sol in solved)

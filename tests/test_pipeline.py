@@ -310,6 +310,50 @@ def test_benchmark_trace_sites_exist():
         assert attr in vars(owner), (owner, attr)
 
 
+def test_benchmark_read_contract(coarse_problem, tiny_bundle):
+    # perfbench/workloads.py and perfbench/tracing.py read these names
+    from cutrom import kkt, pipeline, rom
+
+    assert len(pipeline.build_problem(coarse_problem["cfg"])) == 5
+    ops = pipeline.assemble_operators(coarse_problem["ctx"], 0.45)
+    n = ops.A.shape[0]
+    system = kkt.assemble_kkt(ops, coarse_problem["case"].alpha)
+    assert system.matrix.shape == (3 * n, 3 * n)
+    assert system.rhs.shape == (3 * n,)
+    assert system.active_dofs.size > 0
+    sol = kkt.solve_kkt(system)
+    assert sol.solve_time > 0.0 and sol.mu == 0.45
+    assert sol.stacked().shape == (3 * n,)
+    timings = rom.rom_solve(tiny_bundle["bundle"].rom, 0.45).timings
+    assert {"form", "solve", "lift"} <= set(timings)
+
+
+def test_full_residual_in_timings(tiny_bundle):
+    from cutrom.kkt import RESIDUAL_TOL
+
+    run_online(tiny_bundle["cfg"])
+    _, rows = read_csv(tiny_bundle["out"] / "timings.csv")
+    values = dict(rows)
+    assert 0.0 <= float(values["full_residual_max"]) <= RESIDUAL_TOL
+
+
+def test_rerun_drops_records_of_removed_stages(tmp_path):
+    # a record of a stage that no longer exists ('rom') is dropped when a
+    # rerun rewrites the manifest
+    import json
+
+    out = tmp_path / "b"
+    assert _cli(tmp_path, "offline", out) == 0
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["stages"]["rom"] = dict(manifest["stages"]["pod"])
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert _cli(tmp_path, "offline", out, stages="pod") == 0
+    stages = json.loads(path.read_text(encoding="utf-8"))["stages"]
+    assert "rom" not in stages
+    assert set(stages) == {"snapshots", "pod", "deim"}
+
+
 def test_artifact_io_goes_through_pipeline_namespace(tmp_path, monkeypatch):
     # the benchmark traces storage calls at these names; every artifact
     # written or read must pass through them
