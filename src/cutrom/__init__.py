@@ -24,8 +24,8 @@ from .pipeline import OfflineBundle, load_bundle, run_offline, run_online, \
     run_verify, sample_test_parameters, training_sweep
 from .pod import AggregatedBasis, PodBasis, SnapshotSet, aggregate_basis, \
     pod_basis, sample_parameters
-from .rom import RomModel, RomSolution, direct_projection, \
-    precompute_reduced_terms, relative_error, rom_solve
+from .rom import RomModel, RomSolution, precompute_reduced_terms, \
+    relative_error, rom_solve
 from .storage import RunConfig, load_matrix, parse_config, save_matrix
 
 __version__ = "0.1.0"

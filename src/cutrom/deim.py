@@ -247,72 +247,94 @@ def truncate_model(model: DeimModel, m: int, mesh: BackgroundMesh,
 
 
 class PartialAssembler:
-    """Online partial assembly restricted to a model's reduced mesh.
+    """Online partial assembly over the union of the models' reduced meshes.
 
-    All index bookkeeping is precomputed; per parameter value only the
-    subset classification, clipping and contribution streams are evaluated,
-    so the cost scales with the reduced mesh and not with the mesh size.
+    One pass (subset classification, clipping, contribution streams) serves
+    every model.  Precomputed slot maps send each stream entry of a local
+    element or facet block to its interpolation slot, or to a dummy slot
+    when the entry is not selected, so the cost scales with the reduced
+    meshes and not with the mesh size.  ``theta`` returns the models'
+    entries concatenated in model order.
     """
 
-    def __init__(self, model: DeimModel, ctx: AssemblyContext):
-        self.model = model
+    def __init__(self, models, ctx: AssemblyContext):
+        self.models = (models,) if isinstance(models, DeimModel) \
+            else tuple(models)
         self.ctx = ctx
-        self.elems = model.reduced_elements
-        self.facets = model.reduced_facets
+        self.offsets = np.cumsum([0] + [m.m for m in self.models])
+        self.need = frozenset(m.component for m in self.models)
+        self.elems = np.unique(np.concatenate(
+            [m.reduced_elements for m in self.models]))
+        self.facets = np.unique(np.concatenate(
+            [m.reduced_facets for m in self.models]))
         self.coords = ctx.mesh.element_coords(self.elems)
-        if model.pattern is not None:
-            keys = model.pattern.keys[model.indices]
-            order = np.argsort(keys)
-            self.sorted_keys = keys[order]
-            self.slot_of_sorted = order
-        else:
-            self.sel_dofs = model.pairs.astype(np.int64)
+        ft = ctx.face_table
+        # local positions of each facet's two neighbours
+        self.sides = np.searchsorted(self.elems, np.stack(
+            [ft.face_left[self.facets], ft.face_right[self.facets]]))
+        dofs = ctx.mesh.elements[self.elems].astype(np.int64)
+        d6 = ctx.face_dofs6[self.facets].astype(np.int64)
+        self.slots = [model.pairs.astype(np.int64) if model.pattern is None
+                      else (_slot_map(model, dofs), _slot_map(model, d6))
+                      for model in self.models]
 
     def theta(self, mu: float) -> np.ndarray:
-        """Selected operator entries, identical to a full assembly there."""
-        model = self.model
+        """Selected operator entries, identical to a full assembly there.
+
+        ``np.bincount`` adds in input order, so every entry accumulates its
+        contributions in the order of a full assembly.
+        """
         ctx = self.ctx
         sub = subset_geometry(ctx.mesh, LevelSetSquare(mu, ctx.center),
                               self.elems, coords=self.coords)
-        ghost = self._active_ghosts(sub) if model.component == "A" \
-            else np.zeros(0, dtype=np.int64)
-        st = ctx.streams(sub, ghost, need=frozenset((model.component,)))
-        if model.component == "b":
-            return st.b[self.sel_dofs]
-        if model.component == "c":
-            return st.c[self.sel_dofs]
-        if model.component == "A":
-            rows, cols, vals = st.rows_a, st.cols_a, st.vals_a
-        else:
-            rows, cols, vals = st.rows_m, st.cols_m, st.vals_m
-        keys = rows.astype(np.int64) * model.n + cols.astype(np.int64)
-        pos = np.searchsorted(self.sorted_keys, keys)
-        pos_c = np.minimum(pos, self.sorted_keys.size - 1)
-        hit = self.sorted_keys[pos_c] == keys
-        theta = np.zeros(model.m)
-        np.add.at(theta, self.slot_of_sorted[pos_c[hit]], vals[hit])
+        cls = sub.classification[self.sides]
+        ghost = np.all(cls != OUTSIDE, axis=0) & np.any(cls == CUT, axis=0)
+        st = ctx.streams(sub, self.facets[ghost], need=self.need)
+        theta = np.empty(self.offsets[-1])
+        for model, slots, lo, hi in zip(self.models, self.slots,
+                                        self.offsets, self.offsets[1:]):
+            if model.component in ("b", "c"):
+                theta[lo:hi] = getattr(st, model.component)[slots]
+                continue
+            elem, facet = slots
+            if model.component == "A":
+                # stream order: diffusion, Nitsche, ghost
+                idx = np.concatenate([elem.ravel(),
+                                      elem[sub.bq_parent].ravel(),
+                                      facet[ghost].ravel()])
+                vals = st.vals_a
+            else:
+                idx, vals = elem[sub.iq_parent].ravel(), st.vals_m
+            theta[lo:hi] = np.bincount(idx, weights=vals,
+                                       minlength=model.m + 1)[:model.m]
         return theta
 
-    def _active_ghosts(self, sub) -> np.ndarray:
-        """Recorded facets that are ghost facets at the current parameter."""
-        ft = self.ctx.face_table
-        left = ft.face_left[self.facets]
-        right = ft.face_right[self.facets]
-        cl = sub.classification[np.searchsorted(sub.elems, left)]
-        cr = sub.classification[np.searchsorted(sub.elems, right)]
-        ok = (cl != OUTSIDE) & (cr != OUTSIDE) & ((cl == CUT) | (cr == CUT))
-        return self.facets[ok]
+    def split(self, theta: np.ndarray) -> list[np.ndarray]:
+        """Per-model views of a concatenated theta."""
+        return np.split(theta, self.offsets[1:-1])
 
     def reconstruct(self, mu: float):
-        """Full interpolatory reconstruction of the component at mu."""
+        """Full interpolatory reconstruction of a one-model assembler."""
+        (model,) = self.models
         values = self.projector_apply(self.theta(mu))
-        model = self.model
         if model.pattern is None:
             return values
         return model.pattern.csr_with_values(values)
 
     def projector_apply(self, theta: np.ndarray) -> np.ndarray:
-        return self.model.projector @ theta
+        (model,) = self.models
+        return model.projector @ theta
+
+
+def _slot_map(model: DeimModel, dofs: np.ndarray) -> np.ndarray:
+    """Slot of each (row, col) entry of the local blocks over ``dofs``
+    (k, s): (k, s*s) in stream order, ``model.m`` where not selected."""
+    keys = model.pattern.keys[model.indices]
+    order = np.argsort(keys)
+    k, s = dofs.shape
+    local = (dofs[:, :, None] * model.n + dofs[:, None, :]).reshape(k, s * s)
+    pos = np.minimum(np.searchsorted(keys[order], local), keys.size - 1)
+    return np.where(keys[order][pos] == local, order[pos], model.m)
 
 
 def spectral_norm(mat, iters: int = 120) -> float:

@@ -149,14 +149,3 @@ def solve_kkt(system: KktSystem) -> FullSolution:
         raise NumericalError(
             f"optimality solve at mu={system.mu} has residual {res:.3e}")
     return FullSolution(y, u, p, system.mu, solve_time, res)
-
-
-def cost_value(ops: ParametricOperators, y: np.ndarray, u: np.ndarray,
-               alpha: float) -> float:
-    """Quadratic cost up to the constant ||y_d||^2 term.
-
-    The constant does not affect comparisons between feasible candidates of
-    the same parameter value.
-    """
-    return float(0.5 * y @ (ops.M @ y) - y @ ops.b
-                 + 0.5 * alpha * u @ (ops.M @ u))

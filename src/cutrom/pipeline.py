@@ -474,10 +474,12 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
     all_ops = []
     error_rows = []
     norms = {comp: [] for comp in COMPONENTS}   # exact-operator norms
+    pivot_ratios = []
     for mu in mus:
         ops = assemble_operators(ctx, float(mu), CENTER)
         full = solve_kkt(assemble_kkt(ops, cfg.alpha))
         sol = rom_solve(rom, float(mu))
+        pivot_ratios.append(sol.pivot_ratio)
         errs, _ = relative_error(full, sol, ops.M)
         comp_errs = {}
         for comp, model in rom.deim.items():
@@ -508,6 +510,7 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
         timing_rows = _timing_report(bundle, rom, mus[0])
         timing_rows.append(("full_residual_max",
                             max(full.residual for full in full_solutions)))
+        timing_rows.append(("rom_pivot_ratio_min", min(pivot_ratios)))
         write_csv(out / "timings.csv", ["name", "value"], timing_rows)
 
     return {"test_params": mus, "errors": error_rows, "deim": deim_rows,

@@ -19,8 +19,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .assembly import AssemblyContext, ParametricOperators
-from .deim import DeimModel, PartialAssembler
+from .assembly import AssemblyContext
+from .deim import COMPONENTS, DeimModel, PartialAssembler
 from .errors import NumericalError
 from .kkt import FullSolution
 from .pod import AggregatedBasis
@@ -30,7 +30,8 @@ PIVOT_TOL = 1e-14
 
 @dataclass
 class RomModel:
-    """Precomputed reduced terms plus the online assemblers."""
+    """Precomputed reduced terms plus the online assemblers: one per
+    component, and ``assembler`` for all four in one pass."""
 
     basis: AggregatedBasis
     alpha: float
@@ -42,6 +43,7 @@ class RomModel:
     c_terms: np.ndarray            # (m_c, n_yp)
     deim: dict[str, DeimModel]
     assemblers: dict[str, PartialAssembler]
+    assembler: PartialAssembler    # models in COMPONENTS order
 
     @property
     def q_matrix_terms(self) -> int:
@@ -67,6 +69,7 @@ class RomSolution:
     u: Optional[np.ndarray]
     p: Optional[np.ndarray]
     timings: dict[str, float] = field(default_factory=dict)
+    pivot_ratio: float = float("nan")   # min / max |diag(LU)|
 
 
 def precompute_reduced_terms(basis: AggregatedBasis,
@@ -103,8 +106,10 @@ def precompute_reduced_terms(basis: AggregatedBasis,
 
     assemblers = {comp: PartialAssembler(model, ctx)
                   for comp, model in deim_models.items()}
+    assembler = PartialAssembler([deim_models[c] for c in COMPONENTS], ctx)
     return RomModel(basis, alpha, A_terms, M_yp, M_u, M_uyp,
-                    b_terms, c_terms, dict(deim_models), assemblers)
+                    b_terms, c_terms, dict(deim_models), assemblers,
+                    assembler)
 
 
 def assemble_reduced_system(A_r, M_yp_r, M_u_r, M_uyp_r, b_r, c_r,
@@ -124,32 +129,8 @@ def assemble_reduced_system(A_r, M_yp_r, M_u_r, M_uyp_r, b_r, c_r,
     return K, rhs
 
 
-def reduced_blocks_from_exact(basis: AggregatedBasis,
-                              ops: ParametricOperators):
-    """Blocks of the reduced system with the hyper-reduction bypassed."""
-    Vyp, Vu = basis.V_yp, basis.V_u
-    return (Vyp.T @ (ops.A @ Vyp),
-            Vyp.T @ (ops.M @ Vyp),
-            Vu.T @ (ops.M @ Vu),
-            Vu.T @ (ops.M.T @ Vyp),
-            Vyp.T @ ops.b,
-            Vyp.T @ ops.c)
-
-
-def direct_projection(basis: AggregatedBasis, ops: ParametricOperators,
-                      alpha: float):
-    """Oracle route: project the assembled 3N x 3N system in one piece."""
-    n = ops.A.shape[0]
-    big = sp.bmat([[ops.M, None, ops.A.T],
-                   [None, alpha * ops.M, -ops.M.T],
-                   [ops.A, -ops.M, None]], format="csr")
-    V = basis.block_matrix()
-    K = (V.T @ (big @ V)).toarray()
-    rhs = V.T @ np.concatenate([ops.b, np.zeros(n), ops.c])
-    return K, rhs
-
-
-def _dense_solve(K: np.ndarray, rhs: np.ndarray, mu: float) -> np.ndarray:
+def _dense_solve(K: np.ndarray, rhs: np.ndarray, mu: float):
+    """Solution and pivot ratio min / max |diag(LU)| of the reduced system."""
     with warnings.catch_warnings():
         # the pivot check below reports singularity with more context
         warnings.simplefilter("ignore", sla.LinAlgWarning)
@@ -160,16 +141,14 @@ def _dense_solve(K: np.ndarray, rhs: np.ndarray, mu: float) -> np.ndarray:
         raise NumericalError(
             f"singular reduced system at mu={mu}: smallest pivot "
             f"{diag.min():.3e} at position {int(np.argmin(diag))}")
-    return sla.lu_solve((lu, piv), rhs)
+    return sla.lu_solve((lu, piv), rhs), float(diag.min() / scale)
 
 
 def rom_solve(model: RomModel, mu: float, lift: bool = True) -> RomSolution:
     """Online reduced solve; wall-clock per phase is recorded."""
     t0 = time.perf_counter()
-    th_A = model.assemblers["A"].theta(mu)
-    th_M = model.assemblers["M"].theta(mu)
-    th_b = model.assemblers["b"].theta(mu)
-    th_c = model.assemblers["c"].theta(mu)
+    th_A, th_M, th_b, th_c = model.assembler.split(
+        model.assembler.theta(mu))
     t1 = time.perf_counter()
     A_r = np.tensordot(th_A, model.A_terms, axes=1)
     M_yp_r = np.tensordot(th_M, model.M_yp_terms, axes=1)
@@ -180,7 +159,7 @@ def rom_solve(model: RomModel, mu: float, lift: bool = True) -> RomSolution:
     K, rhs = assemble_reduced_system(A_r, M_yp_r, M_u_r, M_uyp_r,
                                      b_r, c_r, model.alpha)
     t2 = time.perf_counter()
-    x = _dense_solve(K, rhs, mu)
+    x, pivot_ratio = _dense_solve(K, rhs, mu)
     t3 = time.perf_counter()
     y_N, u_N, p_N = model.basis.split(x)
     y = u = p = None
@@ -189,7 +168,7 @@ def rom_solve(model: RomModel, mu: float, lift: bool = True) -> RomSolution:
     t4 = time.perf_counter()
     timings = {"theta": t1 - t0, "form": t2 - t1, "solve": t3 - t2,
                "lift": t4 - t3, "total_excl_lift": t3 - t0}
-    return RomSolution(mu, y_N, u_N, p_N, y, u, p, timings)
+    return RomSolution(mu, y_N, u_N, p_N, y, u, p, timings, pivot_ratio)
 
 
 def relative_error(full: FullSolution, rom: RomSolution,

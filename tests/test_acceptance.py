@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 from cutrom import LevelSetSquare, RunConfig, aggregate_basis, assemble_kkt, \
-    assemble_operators, classify_elements, direct_projection, \
-    precompute_reduced_terms, relative_error, rom_solve, solve_kkt, \
-    spectral_norm
+    assemble_operators, classify_elements, precompute_reduced_terms, \
+    relative_error, rom_solve, solve_kkt, spectral_norm
 from cutrom.deim import PartialAssembler, truncate_model
 from cutrom.levelset import cut_candidates
 from cutrom.pipeline import MODES_SWEEP, build_problem, median_time, \
     run_offline, run_online, sample_test_parameters
 from cutrom.pod import energy_cutoff
-from cutrom.rom import assemble_reduced_system, reduced_blocks_from_exact
+from cutrom.rom import assemble_reduced_system
+from oracles import direct_projection, reduced_blocks_from_exact
 
 SEED = 20240
 

@@ -4,8 +4,9 @@ import scipy.sparse as sp
 
 from cutrom import ParametricOperators, RunConfig, assemble_kkt, \
     assemble_operators, solve_kkt
-from cutrom.kkt import RESIDUAL_TOL, cost_value
+from cutrom.kkt import RESIDUAL_TOL
 from cutrom.pipeline import CENTER, build_problem
+from oracles import cost_value
 
 
 def _toy_ops(n=1, b=0.0, c=0.0, active=None):

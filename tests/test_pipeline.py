@@ -374,3 +374,11 @@ def test_artifact_io_goes_through_pipeline_namespace(tmp_path, monkeypatch):
     seen.clear()
     load_bundle(out)
     assert set(seen) == artifacts
+
+
+def test_rom_pivot_ratio_in_timings(tiny_bundle):
+    run_online(tiny_bundle["cfg"])
+    _, rows = read_csv(tiny_bundle["out"] / "timings.csv")
+    values = dict(rows)
+    assert 0.0 < float(values["rom_pivot_ratio_min"]) <= 1.0
+    assert "full_residual_max" in values

@@ -3,15 +3,15 @@ import pytest
 import scipy.sparse as sp
 
 from cutrom import aggregate_basis, assemble_kkt, assemble_operators, \
-    direct_projection, pod_basis, precompute_reduced_terms, relative_error, \
-    rom_solve, sample_parameters, solve_kkt
+    pod_basis, precompute_reduced_terms, relative_error, rom_solve, \
+    sample_parameters, solve_kkt
 from cutrom.deim import deim_basis, model_from_snapshots
 from cutrom.errors import NumericalError
 from cutrom.levelset import cut_candidates
 from cutrom.pipeline import training_sweep
 from cutrom.pod import AggregatedBasis
-from cutrom.rom import _dense_solve, assemble_reduced_system, \
-    reduced_blocks_from_exact
+from cutrom.rom import _dense_solve, assemble_reduced_system
+from oracles import direct_projection, reduced_blocks_from_exact
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +212,76 @@ def test_lifted_fields_live_in_basis_ranges(rom_setup):
         proj = V @ (V.T @ (W @ field))
         assert np.abs(field - proj).max() <= 1e-10 * max(
             1.0, np.abs(field).max())
+
+
+@pytest.fixture(scope="module")
+def paper_rom():
+    # h = 0.09: mu = 0.4034487 puts a side of the square almost on a mesh
+    # line
+    from cutrom import RunConfig
+    from cutrom.pipeline import build_problem
+
+    cfg = RunConfig(h_target=0.09, seed=5)
+    mesh, ft, case, ctx, W = build_problem(cfg)
+    params = sample_parameters(0.4, 0.5, 30, seed=5)
+    snaps, opsnaps = training_sweep(params, ctx, W)
+    pod = {v: pod_basis(getattr(snaps, f"S_{v}"), W, 1e-5)
+           for v in ("y", "u", "p")}
+    basis = aggregate_basis(*(pod[v].truncated(pod[v].retained)
+                              for v in ("y", "u", "p")), W)
+    cand = cut_candidates(mesh, 0.4, 0.5)
+    models = {}
+    for comp in "AMbc":
+        db = deim_basis(opsnaps[comp], eps=1e-10)
+        models[comp] = model_from_snapshots(db, db.m, opsnaps[comp], mesh,
+                                            ft, cand)
+    return ctx, precompute_reduced_terms(basis, models, ctx, case.alpha)
+
+
+def test_fused_theta_is_exact(paper_rom):
+    # one pass over the union of the reduced meshes gives, per component,
+    # the entries of a full assembly and of the component's own pass
+    ctx, rom = paper_rom
+    fused = rom.assembler
+    models = [rom.deim[c] for c in "AMbc"]
+    assert np.array_equal(fused.elems, np.unique(np.concatenate(
+        [m.reduced_elements for m in models])))
+    assert np.array_equal(fused.facets, rom.deim["A"].reduced_facets)
+    rng = np.random.default_rng(8)
+    for mu in (0.4, 0.5, 0.4034487, *rng.uniform(0.4, 0.5, 4)):
+        ops = assemble_operators(ctx, float(mu))
+        exact = {"A": ops.a_values, "M": ops.m_values, "b": ops.b,
+                 "c": ops.c}
+        parts = fused.split(fused.theta(float(mu)))
+        for comp, model, part in zip("AMbc", models, parts):
+            sel = model.indices if model.pattern is not None else model.pairs
+            assert np.array_equal(part, exact[comp][sel]), (comp, mu)
+            assert np.array_equal(part, rom.assemblers[comp].theta(mu))
+
+
+def test_rom_solve_makes_one_partial_assembly(rom_setup, monkeypatch):
+    import cutrom.deim
+    from cutrom import AssemblyContext
+
+    calls = {"subset_geometry": 0, "streams": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cutrom.deim, "subset_geometry", counted(
+        "subset_geometry", cutrom.deim.subset_geometry))
+    monkeypatch.setattr(AssemblyContext, "streams",
+                        counted("streams", AssemblyContext.streams))
+    sol = rom_solve(rom_setup["rom"], 0.447)
+    assert calls == {"subset_geometry": 1, "streams": 1}
+    assert {"theta", "form", "solve", "lift"} <= set(sol.timings)
+
+
+def test_pivot_ratio_of_reduced_solve(rom_setup):
+    x, ratio = _dense_solve(np.diag([1.0, 4.0, 2.0]), np.ones(3), mu=0.4)
+    assert np.array_equal(x, [1.0, 0.25, 0.5]) and ratio == 0.25
+    sol = rom_solve(rom_setup["rom"], 0.452)
+    assert 0.0 < sol.pivot_ratio <= 1.0
