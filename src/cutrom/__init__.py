@@ -9,8 +9,8 @@ interpolatory hyper-reduction of all parameter-dependent operators.
 """
 
 from .assembly import AssemblyContext, ParametricOperators, ProblemCase, \
-    SparsityPattern, assemble_operators, box_mass_matrix, build_mass_pattern, \
-    build_stiffness_pattern, get_case, square_poisson
+    SparsityPattern, assemble_operators, box_mass_matrix, get_case, \
+    square_poisson
 from .deim import DeimModel, OperatorSnapshots, PartialAssembler, \
     build_reduced_mesh, deim_basis, deim_select, make_deim_model, \
     spectral_norm, truncate_model

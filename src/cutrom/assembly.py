@@ -8,7 +8,9 @@ optimality-system solver.
 
 All operators live on fixed union sparsity patterns so that value arrays of
 different parameter values are directly comparable, which is what the
-hyper-reduction stage needs.
+hyper-reduction stage needs.  The pattern offsets of every element and
+ghost-facet block are computed once with the patterns, so an assembly makes
+values only and scatters them with ``np.bincount`` (adds in input order).
 """
 
 from __future__ import annotations
@@ -68,19 +70,26 @@ def get_case(name: str, **overrides) -> ProblemCase:
 
 
 class SparsityPattern:
-    """Fixed union pattern of a sparse operator family.
+    """Fixed union pattern of the DOF pairs within (count, s) local blocks.
 
     Entries are stored lexicographically by (row, col), which coincides with
-    ascending vectorization index row * n + col.
+    ascending vectorization index row * n + col.  ``block_offsets[k]`` holds
+    the offsets of ``blocks[k]``'s entries, (count, s*s) in row-major order.
     """
 
-    def __init__(self, n: int, rows: np.ndarray, cols: np.ndarray):
-        keys = rows.astype(np.int64) * n + cols.astype(np.int64)
-        keys = np.unique(keys)
+    def __init__(self, n: int, blocks):
+        blocks = [np.asarray(d, dtype=np.int64) for d in blocks]
+        keys = np.concatenate([(d[:, :, None] * n + d[:, None, :]).ravel()
+                               for d in blocks])
+        keys, inverse = np.unique(keys, return_inverse=True)
         self.n = n
-        self.rows = (keys // n).astype(np.int64)
-        self.cols = (keys % n).astype(np.int64)
+        self.rows = keys // n
+        self.cols = keys % n
         self.keys = keys
+        sizes = np.cumsum([d.size * d.shape[1] for d in blocks])[:-1]
+        self.block_offsets = [
+            part.reshape(d.shape[0], d.shape[1] ** 2)
+            for part, d in zip(np.split(inverse.ravel(), sizes), blocks)]
         counts = np.bincount(self.rows, minlength=n)
         # int32 index arrays let the sparse constructor skip downcast scans
         self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
@@ -90,20 +99,6 @@ class SparsityPattern:
     def nnz(self) -> int:
         return self.keys.size
 
-    def offsets_for(self, rows, cols) -> np.ndarray:
-        """Pattern offsets of the given entries; raises on entries outside."""
-        keys = np.asarray(rows, dtype=np.int64) * self.n \
-            + np.asarray(cols, dtype=np.int64)
-        off = np.searchsorted(self.keys, keys)
-        bad = (off >= self.nnz) | (self.keys[np.minimum(off, self.nnz - 1)]
-                                   != keys)
-        if np.any(bad):
-            k = int(np.flatnonzero(bad)[0])
-            raise PatternOverflowError(
-                f"entry ({int(np.asarray(rows).ravel()[k])}, "
-                f"{int(np.asarray(cols).ravel()[k])}) outside union pattern")
-        return off
-
     def csr_with_values(self, values: np.ndarray) -> sp.csr_matrix:
         return sp.csr_matrix((values, self.indices, self.indptr),
                              shape=(self.n, self.n))
@@ -111,39 +106,6 @@ class SparsityPattern:
     def vec_indices(self) -> np.ndarray:
         """1-based stacked index N*(i-1)+j of each pattern entry."""
         return self.rows * self.n + self.cols + 1
-
-
-def build_mass_pattern(mesh: BackgroundMesh) -> SparsityPattern:
-    """DOF pairs sharing an element."""
-    el = mesh.elements
-    rows = np.repeat(el, 3, axis=1).ravel()
-    cols = np.tile(el, (1, 3)).ravel()
-    return SparsityPattern(mesh.dof_count, rows, cols)
-
-
-def build_stiffness_pattern(mesh: BackgroundMesh, face_table: FaceTable,
-                            ghost_candidates=None) -> SparsityPattern:
-    """Element-sharing pairs plus couplings across possible ghost facets.
-
-    ``ghost_candidates`` marks the elements that can be cut somewhere in
-    the parameter range; facets with no candidate side can never carry a
-    jump term and are left out.  Without the mask every interior face
-    counts (safe for any range).
-    """
-    el = mesh.elements
-    parts_r = [np.repeat(el, 3, axis=1).ravel()]
-    parts_c = [np.tile(el, (1, 3)).ravel()]
-    keep = face_table.face_right >= 0
-    if ghost_candidates is not None:
-        right = np.maximum(face_table.face_right, 0)
-        keep = keep & (ghost_candidates[face_table.face_left]
-                       | ghost_candidates[right])
-    dofs6 = np.concatenate([el[face_table.face_left[keep]],
-                            el[face_table.face_right[keep]]], axis=1)
-    parts_r.append(np.repeat(dofs6, 6, axis=1).ravel())
-    parts_c.append(np.tile(dofs6, (1, 6)).ravel())
-    return SparsityPattern(mesh.dof_count,
-                           np.concatenate(parts_r), np.concatenate(parts_c))
 
 
 def box_mass_matrix(mesh: BackgroundMesh) -> sp.csr_matrix:
@@ -174,13 +136,9 @@ class ParametricOperators:
 
 @dataclass
 class _Streams:
-    """Raw COO contribution streams of one assembly pass."""
+    """Contribution values of one assembly pass, in stream order."""
 
-    rows_a: np.ndarray
-    cols_a: np.ndarray
     vals_a: np.ndarray
-    rows_m: np.ndarray
-    cols_m: np.ndarray
     vals_m: np.ndarray
     b: np.ndarray
     c: np.ndarray
@@ -191,7 +149,9 @@ class AssemblyContext:
 
     The ghost-penalty facet blocks are parameter independent for P1 (the
     gradient jumps are elementwise constant), so each facet's 6x6 block is
-    precomputed once and only gathered online.
+    precomputed once and only gathered online, and so are the pattern
+    offsets of every element's 3x3 block (``elem_offsets``) and facet's 6x6
+    block (``ghost_offsets``).
     """
 
     def __init__(self, mesh: BackgroundMesh, face_table: FaceTable,
@@ -225,18 +185,36 @@ class AssemblyContext:
             * np.einsum("fi,fj->fij", jump, jump)
         self.ghost_blocks[~inter] = 0.0
 
-        ghost_cand = None
+        # faces that can carry a jump term: with a side that can be cut in
+        # the parameter range, or every interior face without a range
+        faces = np.flatnonzero(inter)
         if mu_range is not None:
             from .levelset import cut_candidates
-            ghost_cand = cut_candidates(mesh, mu_range[0], mu_range[1],
-                                        center)
-        self.pattern_A = build_stiffness_pattern(mesh, face_table, ghost_cand)
-        self.pattern_M = build_mass_pattern(mesh)
+            cand = cut_candidates(mesh, mu_range[0], mu_range[1], center)
+            faces = faces[cand[left[faces]] | cand[right[faces]]]
+        n = mesh.dof_count
+        self.pattern_A = SparsityPattern(
+            n, [mesh.elements, self.face_dofs6[faces]])
+        self.pattern_M = SparsityPattern(n, [mesh.elements])
+        elem_a, ghost = self.pattern_A.block_offsets
+        self.elem_offsets = {"A": elem_a,
+                             "M": self.pattern_M.block_offsets[0]}
+        # one row per face in the pattern, then a row of nnz for the rest
+        self._ghost_table = np.vstack(
+            [ghost, np.full((1, 36), self.pattern_A.nnz)])
+        self._ghost_row = np.full(face_table.faces.shape[0], faces.size)
+        self._ghost_row[faces] = np.arange(faces.size)
+
+    def ghost_offsets(self, facets) -> np.ndarray:
+        """Stiffness-pattern offsets of the facets' 6x6 ghost blocks,
+        (k, 36); ``pattern_A.nnz`` for a facet outside the pattern."""
+        return self._ghost_table[self._ghost_row[facets]]
 
     # -- contribution streams -------------------------------------------
     def streams(self, sub: SubsetGeometry, ghost_facets,
                 need=frozenset(("A", "M", "b", "c"))) -> _Streams:
-        """COO contributions of the given element subset and ghost facets.
+        """Contribution values of an element subset and ascending ghost
+        facets; their offsets come from the element and facet tables.
 
         Category order (diffusion, Nitsche, ghost) and ascending parents
         keep per-entry accumulation order identical between a full pass and
@@ -250,38 +228,29 @@ class AssemblyContext:
         dofs = mesh.elements[ge]                          # (k, 3)
         grads = self.grads[ge]
         cent = self.centroids[ge]
-        empty_i = np.zeros(0, dtype=np.int64)
-        empty_f = np.zeros(0)
 
-        rows_a, cols_a, vals_a = [empty_i], [empty_i], [empty_f]
+        vals_a = [np.zeros(0)]
         if "A" in need:
             # diffusion: constant gradients, so only the clipped area matters
             diff = np.einsum("kid,kjd->kij", grads, grads) \
                 * sub.clipped_area[:, None, None]
-            rows_a = [np.repeat(dofs, 3, axis=1).ravel()]
-            cols_a = [np.tile(dofs, (1, 3)).ravel()]
             vals_a = [diff.ravel()]
 
-        rows_m = cols_m = empty_i
-        vals_m = empty_f
-        b = np.zeros(n)
-        c = np.zeros(n)
+        vals_m = np.zeros(0)
+        vec = {"b": [], "c": []}                # (DOFs, values) parts
         if need & {"M", "b", "c"}:
             # interior quadrature values of the hat functions
             lam_i = (1.0 / 3.0) + np.einsum(
                 "qid,qd->qi", grads[sub.iq_parent],
                 sub.iq_points - cent[sub.iq_parent])
             wl = sub.iq_weights[:, None] * lam_i
-            iq_dofs = dofs[sub.iq_parent]
+            iq_dofs = dofs[sub.iq_parent].ravel()
             if "M" in need:
-                mass = np.einsum("qi,qj->qij", wl, lam_i)
-                rows_m = np.repeat(iq_dofs, 3, axis=1).ravel()
-                cols_m = np.tile(iq_dofs, (1, 3)).ravel()
-                vals_m = mass.ravel()
-            if "b" in need:
-                np.add.at(b, iq_dofs, wl * case.y_d(sub.iq_points)[:, None])
-            if "c" in need:
-                np.add.at(c, iq_dofs, wl * case.f(sub.iq_points)[:, None])
+                vals_m = np.einsum("qi,qj->qij", wl, lam_i).ravel()
+            for comp, field in (("b", case.y_d), ("c", case.f)):
+                if comp in need:
+                    vec[comp].append((iq_dofs, (
+                        wl * field(sub.iq_points)[:, None]).ravel()))
 
         boundary_needed = ("A" in need) or \
             ("c" in need and case.g_D is not None)
@@ -297,57 +266,57 @@ class AssemblyContext:
                 nitsche = w * (gdh * np.einsum("qi,qj->qij", lam_b, lam_b)
                                - np.einsum("qi,qj->qij", lam_b, dn)
                                - np.einsum("qi,qj->qij", dn, lam_b))
-                bdofs = dofs[bp]
-                rows_a.append(np.repeat(bdofs, 3, axis=1).ravel())
-                cols_a.append(np.tile(bdofs, (1, 3)).ravel())
                 vals_a.append(nitsche.ravel())
             if "c" in need and case.g_D is not None:
                 gd = case.g_D(sub.bq_points)
                 data = (sub.bq_weights * gd)[:, None] * (gdh * lam_b + dn)
-                np.add.at(c, dofs[bp], data)
+                vec["c"].append((dofs[bp].ravel(), data.ravel()))
 
-        if "A" in need:
-            ghost_facets = np.sort(np.asarray(ghost_facets, dtype=np.int64))
-            if ghost_facets.size:
-                d6 = self.face_dofs6[ghost_facets]
-                rows_a.append(np.repeat(d6, 6, axis=1).ravel())
-                cols_a.append(np.tile(d6, (1, 6)).ravel())
-                vals_a.append(self.ghost_blocks[ghost_facets].ravel())
+        if "A" in need and len(ghost_facets):
+            vals_a.append(self.ghost_blocks[ghost_facets].ravel())
 
-        return _Streams(np.concatenate(rows_a), np.concatenate(cols_a),
-                        np.concatenate(vals_a), rows_m, cols_m, vals_m, b, c)
+        # np.bincount adds in input order, like sequential scatter-adds
+        b, c = (np.bincount(*map(np.concatenate, zip(*vec[k])), minlength=n)
+                if vec[k] else np.zeros(n) for k in ("b", "c"))
+        return _Streams(np.concatenate(vals_a), vals_m, b, c)
+
+    def _values(self, component: str, sub: SubsetGeometry, ghost_facets,
+                st: _Streams) -> np.ndarray:
+        """Pattern values of the A or M stream; raises on a ghost facet
+        outside the pattern (a parameter outside the declared range)."""
+        elem = self.elem_offsets[component][sub.elems]
+        if component == "M":
+            return np.bincount(elem[sub.iq_parent].ravel(), st.vals_m,
+                               minlength=self.pattern_M.nnz)
+        ghost = self.ghost_offsets(ghost_facets)
+        outside = np.asarray(ghost_facets)[ghost[:, 0] == self.pattern_A.nnz]
+        if outside.size:
+            raise PatternOverflowError(
+                f"ghost facet {int(outside[0])} outside union pattern")
+        offsets = np.concatenate([elem.ravel(), elem[sub.bq_parent].ravel(),
+                                  ghost.ravel()])
+        return np.bincount(offsets, st.vals_a, minlength=self.pattern_A.nnz)
 
     def assemble_component(self, geom: CutGeometry, component: str):
         """Full assembly of one component only (timing baseline)."""
-        st = self.streams(geom.active, geom.ghost_facets,
+        sub = geom.active
+        st = self.streams(sub, geom.ghost_facets,
                           need=frozenset((component,)))
-        if component == "b":
-            return st.b
-        if component == "c":
-            return st.c
-        if component == "A":
-            values = np.zeros(self.pattern_A.nnz)
-            np.add.at(values,
-                      self.pattern_A.offsets_for(st.rows_a, st.cols_a),
-                      st.vals_a)
-            return self.pattern_A.csr_with_values(values)
-        values = np.zeros(self.pattern_M.nnz)
-        np.add.at(values, self.pattern_M.offsets_for(st.rows_m, st.cols_m),
-                  st.vals_m)
-        return self.pattern_M.csr_with_values(values)
+        if component in ("b", "c"):
+            return getattr(st, component)
+        pattern = self.pattern_A if component == "A" else self.pattern_M
+        return pattern.csr_with_values(
+            self._values(component, sub, geom.ghost_facets, st))
 
     # -- full assembly ---------------------------------------------------
     def assemble(self, geom: CutGeometry) -> ParametricOperators:
         if geom.active_elements.size == 0:
             raise NumericalError(
                 f"empty active mesh at mu={geom.levelset.mu}")
-        st = self.streams(geom.active, geom.ghost_facets)
-        a_values = np.zeros(self.pattern_A.nnz)
-        np.add.at(a_values, self.pattern_A.offsets_for(st.rows_a, st.cols_a),
-                  st.vals_a)
-        m_values = np.zeros(self.pattern_M.nnz)
-        np.add.at(m_values, self.pattern_M.offsets_for(st.rows_m, st.cols_m),
-                  st.vals_m)
+        sub = geom.active
+        st = self.streams(sub, geom.ghost_facets)
+        a_values = self._values("A", sub, geom.ghost_facets, st)
+        m_values = self._values("M", sub, geom.ghost_facets, st)
         return ParametricOperators(
             mu=geom.levelset.mu,
             A=self.pattern_A.csr_with_values(a_values),

@@ -272,11 +272,12 @@ class PartialAssembler:
         # local positions of each facet's two neighbours
         self.sides = np.searchsorted(self.elems, np.stack(
             [ft.face_left[self.facets], ft.face_right[self.facets]]))
-        dofs = ctx.mesh.elements[self.elems].astype(np.int64)
-        d6 = ctx.face_dofs6[self.facets].astype(np.int64)
-        self.slots = [model.pairs.astype(np.int64) if model.pattern is None
-                      else (_slot_map(model, dofs), _slot_map(model, d6))
-                      for model in self.models]
+        ghost = ctx.ghost_offsets(self.facets)
+        self.slots = [
+            model.pairs.astype(np.int64) if model.pattern is None else
+            (_slot_map(model, ctx.elem_offsets[model.component][self.elems]),
+             _slot_map(model, ghost) if model.component == "A" else None)
+            for model in self.models]
 
     def theta(self, mu: float) -> np.ndarray:
         """Selected operator entries, identical to a full assembly there.
@@ -326,15 +327,12 @@ class PartialAssembler:
         return model.projector @ theta
 
 
-def _slot_map(model: DeimModel, dofs: np.ndarray) -> np.ndarray:
-    """Slot of each (row, col) entry of the local blocks over ``dofs``
-    (k, s): (k, s*s) in stream order, ``model.m`` where not selected."""
-    keys = model.pattern.keys[model.indices]
-    order = np.argsort(keys)
-    k, s = dofs.shape
-    local = (dofs[:, :, None] * model.n + dofs[:, None, :]).reshape(k, s * s)
-    pos = np.minimum(np.searchsorted(keys[order], local), keys.size - 1)
-    return np.where(keys[order][pos] == local, order[pos], model.m)
+def _slot_map(model: DeimModel, offsets: np.ndarray) -> np.ndarray:
+    """Slot of each pattern offset: its position among the model's
+    selected entries, ``model.m`` where not selected (and for ``nnz``)."""
+    slot = np.full(model.pattern.nnz + 1, model.m)
+    slot[model.indices] = np.arange(model.m)
+    return slot[offsets]
 
 
 def spectral_norm(mat, iters: int = 120) -> float:

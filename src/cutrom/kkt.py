@@ -14,12 +14,13 @@ condensed system of 2 n_active rows
     [ M_aa   A_aa^T  ] [y_a]   [b_a]
     [ A_aa  -M_aa/a  ] [p_a] = [c_a]
 
-and sets u = p/a there.  An active DOF with an empty mass row (a boundary
-exactly on mesh lines) has a free control component that enters no
-equation; it is set to zero, as is every component outside the active
-mesh.  The pinned 3N system stays available as ``KktSystem.matrix`` and
-``.rhs``, built on first access, and the solve checks its residual one
-block row at a time without forming it.
+and sets u = p/a there; the matrix is built in one CSC construction from
+the CSR arrays of the active rows of M and A.  An active DOF with an empty
+mass row (a boundary exactly on mesh lines) has a free control component
+that enters no equation; it is set to zero, as is every component outside
+the active mesh.  The pinned 3N system stays available as
+``KktSystem.matrix`` and ``.rhs``, built on first access, and the solve
+checks its residual one block row at a time without forming it.
 """
 
 from __future__ import annotations
@@ -105,15 +106,38 @@ class FullSolution:
         return np.concatenate([self.y, self.u, self.p])
 
 
+def _active_entries(mat: sp.csr_matrix, active: np.ndarray,
+                    local: np.ndarray):
+    """Local (row, col, value) of the stored entries (explicit zeros too)
+    in active rows and columns; ``local`` maps other DOFs to -1."""
+    start = mat.indptr[active]
+    count = mat.indptr[active + 1] - start
+    pos = np.arange(count.sum()) + np.repeat(start + count - count.cumsum(),
+                                             count)
+    cols = local[mat.indices[pos]]
+    keep = cols >= 0
+    rows = np.repeat(np.arange(active.size, dtype=local.dtype), count)
+    return rows[keep], cols[keep], mat.data[pos][keep]
+
+
 def assemble_kkt(ops: ParametricOperators, alpha: float) -> KktSystem:
     """Form the condensed system on the active DOFs."""
     n = ops.A.shape[0]
     if ops.M.shape != (n, n) or ops.b.shape != (n,) or ops.c.shape != (n,):
         raise ValueError("inconsistent operator dimensions")
     active = ops.active_dofs
-    M_aa = ops.M[active][:, active]
-    A_aa = ops.A[active][:, active]
-    K = sp.bmat([[M_aa, A_aa.T], [A_aa, -M_aa / alpha]], format="csc")
+    na = active.size
+    # int32 indices let the sparse constructor skip downcast scans
+    local = np.full(n, -1, dtype=np.int32)
+    local[active] = np.arange(na)
+    mi, mj, mv = _active_entries(ops.M, active, local)
+    ai, aj, av = _active_entries(ops.A, active, local)
+    # [[M_aa, A_aa^T], [A_aa, -M_aa/alpha]], dividing as scipy.sparse does
+    K = sp.csc_matrix(
+        (np.concatenate([mv, av, av, (-mv) * (1.0 / alpha)]),
+         (np.concatenate([mi, aj, na + ai, na + mi]),
+          np.concatenate([mj, na + ai, aj, na + mj]))),
+        shape=(2 * na, 2 * na))
     rhs = np.concatenate([ops.b[active], ops.c[active]])
     return KktSystem(ops, alpha, K, rhs)
 

@@ -277,11 +277,13 @@ def subset_geometry(mesh: BackgroundMesh, ls, elems,
         iq_parent.append(np.repeat(parents, 3))
         iq_points.append(pts)
         iq_weights.append(w)
-        np.add.at(clipped, parents,
-                  0.5 * np.abs((subs[:, 1, 0] - subs[:, 0, 0])
-                               * (subs[:, 2, 1] - subs[:, 0, 1])
-                               - (subs[:, 2, 0] - subs[:, 0, 0])
-                               * (subs[:, 1, 1] - subs[:, 0, 1])))
+        # zero at the generic elements so far; bincount adds in input order
+        clipped += np.bincount(
+            parents, 0.5 * np.abs((subs[:, 1, 0] - subs[:, 0, 0])
+                                  * (subs[:, 2, 1] - subs[:, 0, 1])
+                                  - (subs[:, 2, 0] - subs[:, 0, 0])
+                                  * (subs[:, 1, 1] - subs[:, 0, 1])),
+            minlength=clipped.size)
 
         spts, sw = _segment_rule(pab, pac)
         grad = _interpolant_gradients(gcoords, gvals)

@@ -564,6 +564,10 @@ def _timing_report(bundle: OfflineBundle, rom: RomModel, mu0: float):
     t_full_asm = median_time(lambda: assemble_operators(ctx, mu0, CENTER))
     t_full_solve = median_time(
         lambda: solve_kkt(assemble_kkt(ops0, cfg.alpha)))
+    t_kkt_form = median_time(lambda: assemble_kkt(ops0, cfg.alpha))
+    system0 = assemble_kkt(ops0, cfg.alpha)
+    t_lu = float(np.median([solve_kkt(system0).solve_time
+                            for _ in range(TIMING_REPEATS)]))
 
     rom_solve(rom, mu0)  # warm-up
     runs = [rom_solve(rom, mu0).timings for _ in range(TIMING_REPEATS)]
@@ -574,6 +578,8 @@ def _timing_report(bundle: OfflineBundle, rom: RomModel, mu0: float):
         ("reduced_dim", rom.reduced_dim),
         ("full_assembly", t_full_asm),
         ("full_solve", t_full_solve),
+        ("full_kkt_form", t_kkt_form),
+        ("full_lu", t_lu),
         ("rom_theta", rom_t["theta"]),
         ("rom_form", rom_t["form"]),
         ("rom_solve", rom_t["solve"]),

@@ -26,6 +26,16 @@ def coarse_problem():
             "case": case, "ctx": ctx, "W": W}
 
 
+@pytest.fixture(scope="session", params=[0.09, 0.0225],
+                ids=["N900", "N13689"])
+def default_problem(request):
+    """The default configuration at the paper and the benchmark mesh size,
+    with the parameters the old-path oracle checks run at."""
+    mus = (0.4, 0.5, 0.4034487,
+           *np.random.default_rng(8).uniform(0.4, 0.5, 3).tolist())
+    return build_problem(RunConfig(h_target=request.param)), mus
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

@@ -6,6 +6,8 @@ from cutrom import AssemblyContext, LevelSetSquare, ProblemCase, \
     assemble_operators, box_mass_matrix, build_background_mesh, \
     build_face_table, classify_elements, square_poisson
 from cutrom.errors import PatternOverflowError
+from cutrom.pipeline import CENTER
+from oracles import bitwise_equal, coo_assemble
 
 
 def _constant_case(f=0.0, y_d=0.0, g_D=None, **kw):
@@ -268,3 +270,56 @@ def test_box_mass_matrix_exact(bench_mesh):
     one = np.ones(bench_mesh.dof_count)
     assert one @ (W @ one) == pytest.approx(2.6 * 2.6, rel=1e-12)
     assert np.abs(W - W.T).max() == 0.0
+
+
+def _assert_matches_coo(ctx, geom):
+    ops = ctx.assemble(geom)
+    ref = coo_assemble(ctx, geom)
+    for got, comp in ((ops.a_values, "A"), (ops.m_values, "M"),
+                      (ops.b, "b"), (ops.c, "c")):
+        assert bitwise_equal(got, ref[comp]), comp
+    for comp in ("A", "M", "b", "c"):
+        got = ctx.assemble_component(geom, comp)
+        if comp in ("A", "M"):
+            got = got.data
+        ref = coo_assemble(ctx, geom, frozenset((comp,)))[comp]
+        assert bitwise_equal(got, ref), comp
+
+
+def test_assembly_matches_coo_scatter(default_problem):
+    # offsets from the element and facet tables with np.bincount give the
+    # values of a searched COO stream scattered with np.add.at, bitwise
+    (mesh, ft, _, ctx, _), mus = default_problem
+    for mu in mus:
+        _assert_matches_coo(ctx, classify_elements(
+            mesh, ft, LevelSetSquare(mu, CENTER)))
+
+
+def test_assembly_with_dirichlet_data_matches_coo_scatter(bench_mesh,
+                                                          bench_faces):
+    # g_D adds Nitsche terms to c after the interior ones
+    case = ProblemCase(name="test", f=lambda p: p[:, 0] - p[:, 1],
+                       y_d=lambda p: np.cos(p[:, 1]),
+                       g_D=lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1],
+                       alpha=1e-4, gamma_D=10.0, gamma_1=0.1)
+    ctx = AssemblyContext(bench_mesh, bench_faces, case, (0.4, 0.5), CENTER)
+    for mu in (0.4, 0.4034487, 0.4571):
+        _assert_matches_coo(ctx, classify_elements(
+            bench_mesh, bench_faces, LevelSetSquare(mu, CENTER)))
+
+
+def test_block_offsets_locate_block_entries(coarse_problem):
+    ctx = coarse_problem["ctx"]
+    el = ctx.mesh.elements
+    n = ctx.mesh.dof_count
+    keys = (el[:, :, None] * n + el[:, None, :]).reshape(-1, 9)
+    for comp, pattern in (("A", ctx.pattern_A), ("M", ctx.pattern_M)):
+        assert np.array_equal(pattern.keys[ctx.elem_offsets[comp]], keys)
+    faces = np.arange(ctx.face_table.faces.shape[0])
+    off = ctx.ghost_offsets(faces)
+    inside = off[:, 0] < ctx.pattern_A.nnz
+    d6 = ctx.face_dofs6[faces[inside]]
+    keys6 = (d6[:, :, None] * n + d6[:, None, :]).reshape(-1, 36)
+    assert np.array_equal(ctx.pattern_A.keys[off[inside]], keys6)
+    assert np.all(off[~inside] == ctx.pattern_A.nnz)
+    assert inside.any() and not inside.all()

@@ -6,7 +6,7 @@ from cutrom import ParametricOperators, RunConfig, assemble_kkt, \
     assemble_operators, solve_kkt
 from cutrom.kkt import RESIDUAL_TOL
 from cutrom.pipeline import CENTER, build_problem
-from oracles import cost_value
+from oracles import bitwise_equal, bmat_condensed, cost_value
 
 
 def _toy_ops(n=1, b=0.0, c=0.0, active=None):
@@ -203,3 +203,45 @@ def test_pinned_3n_system_is_solved(solved):
 
 def test_residual_recorded(solved):
     assert all(0.0 <= sol.residual <= RESIDUAL_TOL for _, _, sol in solved)
+
+
+def _assert_same_csc(new, old):
+    assert new.format == "csc" and new.has_canonical_format
+    old = old.copy()
+    old.sum_duplicates()  # canonical order; explicit zeros are kept
+    assert new.shape == old.shape
+    assert np.array_equal(new.indptr, old.indptr)
+    assert np.array_equal(new.indices, old.indices)
+    assert bitwise_equal(new.data, old.data)
+
+
+def test_condensed_matrix_matches_block_build(default_problem):
+    # the direct build equals slicing plus bmat bitwise, explicit zeros
+    # (pattern entries of elements outside the domain) included
+    (_, _, case, ctx, _), mus = default_problem
+    zeros = 0
+    for mu in (*mus, 0.4805):
+        ops = assemble_operators(ctx, mu, CENTER)
+        K = assemble_kkt(ops, case.alpha).condensed
+        _assert_same_csc(K, bmat_condensed(ops, case.alpha))
+        zeros += np.count_nonzero(K.data == 0.0)
+    assert zeros > 0
+
+
+def test_condensed_matrix_of_hand_built_operators():
+    # DOF 1 inactive; an explicit zero at (0, 2) and an entry at (0, 1)
+    # that leaves with the inactive column
+    n = 4
+    mat = sp.csr_matrix((np.array([1.0, 0.5, 0.0, 1.0, 1.0]),
+                         np.array([0, 1, 2, 2, 3]),
+                         np.array([0, 3, 3, 4, 5])), shape=(n, n))
+    pinned = ParametricOperators(mu=0.0, A=mat, M=mat.copy(),
+                                 b=np.zeros(n), c=np.zeros(n),
+                                 active_dofs=np.array([0, 2, 3]),
+                                 a_values=np.zeros(1), m_values=np.zeros(1))
+    for ops in (_toy_ops(1), _toy_ops(3), pinned):
+        for alpha in (1.0, 1e-4, 3.0):
+            K = assemble_kkt(ops, alpha).condensed
+            _assert_same_csc(K, bmat_condensed(ops, alpha))
+    assert K.shape == (6, 6) and K.nnz == 16
+    assert np.count_nonzero(K.data == 0.0) == 4

@@ -382,3 +382,10 @@ def test_rom_pivot_ratio_in_timings(tiny_bundle):
     values = dict(rows)
     assert 0.0 < float(values["rom_pivot_ratio_min"]) <= 1.0
     assert "full_residual_max" in values
+
+
+def test_kkt_form_and_lu_in_timings(tiny_bundle):
+    run_online(tiny_bundle["cfg"])
+    _, rows = read_csv(tiny_bundle["out"] / "timings.csv")
+    values = {name: float(value) for name, value in rows}
+    assert values["full_kkt_form"] > 0.0 and values["full_lu"] > 0.0
