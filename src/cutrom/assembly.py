@@ -152,6 +152,15 @@ class AssemblyContext:
     precomputed once and only gathered online, and so are the pattern
     offsets of every element's 3x3 block (``elem_offsets``) and facet's 6x6
     block (``ghost_offsets``).
+
+    The context also owns the ever-active set.  By monotonicity of the
+    level-set family in mu, no element outside the square at mu_max is ever
+    active, so only the DOFs of the other elements (``ever_active``,
+    ascending) can be nonzero in a solution, b or c, and only the pattern
+    entries with both row and column among them in A or M.
+    ``kept[component]`` holds these entries as ascending offsets into the
+    component's values (pattern offsets for A and M, DOF ids for b and c);
+    without a parameter range every DOF is kept.
     """
 
     def __init__(self, mesh: BackgroundMesh, face_table: FaceTable,
@@ -188,10 +197,12 @@ class AssemblyContext:
         # faces that can carry a jump term: with a side that can be cut in
         # the parameter range, or every interior face without a range
         faces = np.flatnonzero(inter)
+        reach = np.ones(mesh.n_elements, dtype=bool)
         if mu_range is not None:
-            from .levelset import cut_candidates
+            from .levelset import cut_candidates, outside_elements
             cand = cut_candidates(mesh, mu_range[0], mu_range[1], center)
             faces = faces[cand[left[faces]] | cand[right[faces]]]
+            reach = ~outside_elements(mesh, mu_range[1], center)
         n = mesh.dof_count
         self.pattern_A = SparsityPattern(
             n, [mesh.elements, self.face_dofs6[faces]])
@@ -204,6 +215,31 @@ class AssemblyContext:
             [ghost, np.full((1, 36), self.pattern_A.nnz)])
         self._ghost_row = np.full(face_table.faces.shape[0], faces.size)
         self._ghost_row[faces] = np.arange(faces.size)
+
+        # the ever-active set: DOFs of the elements not outside at mu_max,
+        # and the pattern entries with both row and column among them
+        local = np.full(n, -1)
+        local[mesh.elements[reach]] = 0
+        self.ever_active = np.flatnonzero(local == 0)
+        n_kept = self.ever_active.size
+        local[self.ever_active] = np.arange(n_kept)
+        self.kept = {"b": self.ever_active, "c": self.ever_active}
+        self._kept_csr = {}
+        for comp, pattern in (("A", self.pattern_A), ("M", self.pattern_M)):
+            rows, cols = local[pattern.rows], local[pattern.cols]
+            keep = (rows >= 0) & (cols >= 0)
+            self.kept[comp] = np.flatnonzero(keep)
+            counts = np.bincount(rows[keep], minlength=n_kept)
+            self._kept_csr[comp] = (
+                cols[keep].astype(np.int32),
+                np.concatenate([[0], np.cumsum(counts)]).astype(np.int32))
+
+    def kept_matrix(self, component: str, values) -> sp.csr_matrix:
+        """Ever-active block of the A or M component from its values at
+        ``kept[component]``."""
+        indices, indptr = self._kept_csr[component]
+        n = self.ever_active.size
+        return sp.csr_matrix((values, indices, indptr), shape=(n, n))
 
     def ghost_offsets(self, facets) -> np.ndarray:
         """Stiffness-pattern offsets of the facets' 6x6 ghost blocks,

@@ -56,7 +56,8 @@ def _cmd_report(out_dir: Path) -> None:
     _, rows = read_csv(summary)
     print("offline summary")
     for record, comp, _idx, value in rows:
-        if record in ("pod_retained", "deim_dim", "reduced_mesh_elements",
+        if record in ("ever_active_dofs", "ever_active_entries",
+                      "pod_retained", "deim_dim", "reduced_mesh_elements",
                       "reduced_mesh_facets", "reduced_dim"):
             print(f"  {record:24s} {comp:2s} {value}")
     online = out_dir / "online_errors.csv"

@@ -2,7 +2,10 @@
 
 The stiffness and mass matrices are vectorized on their fixed union
 patterns (stacked index N*(i-1)+j) and, together with the two right-hand
-side vectors, compressed by a POD in the Euclidean inner product.  A greedy
+side vectors, compressed by a POD in the Euclidean inner product.  Only the
+entries that can be nonzero (``AssemblyContext.kept``) are stored as rows
+of the snapshots and bases; interpolation indices stay offsets into the
+full pattern or DOF range.  A greedy
 procedure picks one interpolation entry per basis column; online, the
 operators are recovered from a partial assembly on a small reduced mesh
 that covers exactly the selected entries, at a cost independent of the
@@ -30,21 +33,23 @@ class OperatorSnapshots:
     """Vectorized operator values over the training sample.
 
     Matrix components live on their union pattern, vector components on the
-    full DOF range; either way ``values`` has one column per parameter.
+    DOF range; ``values`` holds the entries at ``rows`` (ascending offsets
+    into the pattern or DOF range), one column per parameter.
     """
 
     component: str
     params: np.ndarray
-    values: np.ndarray                      # (n_entries, M)
+    values: np.ndarray                      # (n_rows, M)
     pattern: Optional[SparsityPattern]      # None for the vector components
     n: int                                  # DOF count
+    rows: np.ndarray                        # (n_rows,) kept offsets
 
 
 @dataclass
 class DeimBasis:
     """Euclidean POD of an operator snapshot family."""
 
-    U: np.ndarray                  # (n_entries, n_stored)
+    U: np.ndarray                  # (n_rows, n_stored)
     eigenvalues: np.ndarray        # (M,) non-increasing
     m: int                         # energy cutoff at the build tolerance
     tolerance: float
@@ -196,15 +201,20 @@ def build_reduced_mesh(pairs: np.ndarray, mesh: BackgroundMesh,
 
 @dataclass
 class DeimModel:
-    """Everything the online stage needs for one operator component."""
+    """Everything the online stage needs for one operator component.
+
+    ``U`` and ``projector`` hold the rows ``rows`` of the full pattern or
+    DOF range; ``indices`` are full offsets.
+    """
 
     component: str
     n: int
     pattern: Optional[SparsityPattern]
-    U: np.ndarray                  # (n_entries, m)
+    rows: np.ndarray               # (n_rows,) kept offsets, ascending
+    U: np.ndarray                  # (n_rows, m)
     indices: np.ndarray            # (m,) offsets into the pattern / DOFs
     pairs: np.ndarray              # (m, 2) DOF pairs or (m,) DOFs
-    projector: np.ndarray          # (n_entries, m) = U (P^T U)^-1
+    projector: np.ndarray          # (n_rows, m) = U (P^T U)^-1
     reduced_elements: np.ndarray
     reduced_facets: np.ndarray
     eigenvalues: np.ndarray
@@ -213,18 +223,26 @@ class DeimModel:
     def m(self) -> int:
         return self.indices.size
 
+    def expand(self, values: np.ndarray) -> np.ndarray:
+        """Full pattern values (or DOF vector) of values at ``rows``."""
+        full = np.zeros(self.n if self.pattern is None else self.pattern.nnz)
+        full[self.rows] = values
+        return full
+
 
 def make_deim_model(U: np.ndarray, eigenvalues: np.ndarray, m: int,
                     component: str, pattern: Optional[SparsityPattern],
-                    n: int, mesh: BackgroundMesh, face_table: FaceTable,
+                    n: int, rows: np.ndarray, mesh: BackgroundMesh,
+                    face_table: FaceTable,
                     cut_candidate: Optional[np.ndarray] = None) -> DeimModel:
     """Select indices for the first m modes and detect the reduced mesh."""
     m = min(m, U.shape[1])
-    indices, projector = deim_select(U[:, :m])
+    local, projector = deim_select(U[:, :m])
+    indices = rows[local]
     pairs = _pairs_of_indices(indices, pattern)
     elements, facets = build_reduced_mesh(pairs, mesh, face_table,
                                           component, cut_candidate)
-    return DeimModel(component, n, pattern, U[:, :indices.size].copy(),
+    return DeimModel(component, n, pattern, rows, U[:, :indices.size].copy(),
                      indices, pairs, projector, elements, facets,
                      np.asarray(eigenvalues, dtype=float))
 
@@ -233,8 +251,8 @@ def model_from_snapshots(basis: DeimBasis, m: int, snaps: OperatorSnapshots,
                          mesh: BackgroundMesh, face_table: FaceTable,
                          cut_candidate: Optional[np.ndarray] = None) -> DeimModel:
     return make_deim_model(basis.U, basis.eigenvalues, m, snaps.component,
-                           snaps.pattern, snaps.n, mesh, face_table,
-                           cut_candidate)
+                           snaps.pattern, snaps.n, snaps.rows, mesh,
+                           face_table, cut_candidate)
 
 
 def truncate_model(model: DeimModel, m: int, mesh: BackgroundMesh,
@@ -242,8 +260,8 @@ def truncate_model(model: DeimModel, m: int, mesh: BackgroundMesh,
                    cut_candidate: Optional[np.ndarray] = None) -> DeimModel:
     """Rebuild a model from the first m stored modes (m <= model.m)."""
     return make_deim_model(model.U, model.eigenvalues, m, model.component,
-                           model.pattern, model.n, mesh, face_table,
-                           cut_candidate)
+                           model.pattern, model.n, model.rows, mesh,
+                           face_table, cut_candidate)
 
 
 class PartialAssembler:
@@ -315,7 +333,8 @@ class PartialAssembler:
         return np.split(theta, self.offsets[1:-1])
 
     def reconstruct(self, mu: float):
-        """Full interpolatory reconstruction of a one-model assembler."""
+        """Full interpolatory reconstruction of a one-model assembler: a
+        matrix on the full pattern or a full-length vector."""
         (model,) = self.models
         values = self.projector_apply(self.theta(mu))
         if model.pattern is None:
@@ -323,8 +342,9 @@ class PartialAssembler:
         return model.pattern.csr_with_values(values)
 
     def projector_apply(self, theta: np.ndarray) -> np.ndarray:
+        """Full pattern values (or DOF vector) interpolated from theta."""
         (model,) = self.models
-        return model.projector @ theta
+        return model.expand(model.projector @ theta)
 
 
 def _slot_map(model: DeimModel, offsets: np.ndarray) -> np.ndarray:

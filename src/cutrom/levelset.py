@@ -407,7 +407,13 @@ def cut_candidates(mesh: BackgroundMesh, mu_min: float, mu_max: float,
     it is inside at mu_min.
     """
     v_lo = snap_values(LevelSetSquare(mu_min, center)(mesh.vertices)[mesh.elements])
-    v_hi = snap_values(LevelSetSquare(mu_max, center)(mesh.vertices)[mesh.elements])
     always_inside = (v_lo < 0.0).all(axis=1)
-    always_outside = (v_hi > 0.0).all(axis=1)
-    return ~(always_inside | always_outside)
+    return ~(always_inside | outside_elements(mesh, mu_max, center))
+
+
+def outside_elements(mesh: BackgroundMesh, mu: float,
+                     center=(1.0, 1.0)) -> np.ndarray:
+    """Elements classified OUTSIDE at mu; by monotonicity in mu, at mu_max
+    these are the elements that stay outside for the whole range."""
+    vals = LevelSetSquare(mu, center)(mesh.vertices)[mesh.elements]
+    return (snap_values(vals) > 0.0).all(axis=1)

@@ -4,6 +4,8 @@ The offline run persists the outputs of its stages: the mesh is replayed
 from the resolved config (and checked against a fingerprint), the POD bases
 and interpolation data are stored in the matrix container format, and the
 aggregated basis and reduced terms are derived from them on every load.
+Snapshots, bases and W hold the rows of the ever-active DOFs and entries
+only (``AssemblyContext.ever_active`` and ``.kept``).
 Online runs solve full and reduced models on a fresh test sample and emit
 deterministic error reports; timings go to their own file so that error
 CSVs are byte-identical across runs.
@@ -43,7 +45,7 @@ CENTER = (1.0, 1.0)
 MODES_SWEEP = (1, 2, 3, 5, 9, 15, 25)
 DEIM_SWEEP = (1, 2, 5, 10, 15, 20, 25, 30, 35, 40)
 TIMING_REPEATS = 11
-MANIFEST_FORMAT = 2
+MANIFEST_FORMAT = 3
 VARS = ("y", "u", "p")
 
 
@@ -57,15 +59,48 @@ def median_time(fn, repeats: int = TIMING_REPEATS) -> float:
     return float(np.median(samples))
 
 
+def _live_lock_owner(path: Path) -> str | None:
+    """Holder of an existing lock, or None when its recorded process is
+    gone; an empty or unreadable lock counts as held."""
+    try:
+        pid = int(path.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        return "another run"
+    if pid <= 0:
+        return "another run"
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return None
+    except PermissionError:      # alive, owned by another user
+        pass
+    return f"another run (PID {pid})"
+
+
 @contextmanager
 def _output_lock(out: Path):
-    """Exclusive ownership of the output directory while writing."""
+    """Exclusive ownership of the output directory while writing.
+
+    The lock file holds the owner's PID.  A lock whose process no longer
+    exists is removed and taken over once.
+    """
     path = out / ".lock"
+    for attempt in range(2):
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            owner = _live_lock_owner(path)
+            if attempt or owner is not None:
+                owner = owner or "another run"
+                raise ConfigError(f"output directory is locked by {owner}: "
+                                  f"{path}") from None
+            path.unlink(missing_ok=True)
     try:
-        os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-    except FileExistsError:
-        raise ConfigError(f"output directory is locked by another run: {path}")
-    try:
+        try:
+            os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+        finally:
+            os.close(fd)
         yield
     finally:
         path.unlink(missing_ok=True)
@@ -98,7 +133,8 @@ def build_problem(cfg: RunConfig):
                     gamma_1=cfg.gamma_1)
     ctx = AssemblyContext(mesh, face_table, case,
                           mu_range=(cfg.mu_min, cfg.mu_max), center=CENTER)
-    W = box_mass_matrix(mesh)
+    dofs = ctx.ever_active
+    W = box_mass_matrix(mesh)[dofs][:, dofs]
     return mesh, face_table, case, ctx, W
 
 
@@ -125,26 +161,28 @@ def _patterns(ctx: AssemblyContext) -> dict:
 
 
 def training_sweep(params, ctx: AssemblyContext, W):
-    """One assembly+solve pass that feeds both snapshot families."""
+    """One assembly+solve pass that feeds both snapshot families, kept on
+    the ever-active DOFs and entries."""
     params = np.asarray(params, dtype=float)
     n = ctx.mesh.dof_count
-    pats = _patterns(ctx)
-    S = {var: np.zeros((n, params.size)) for var in VARS}
-    vals = {comp: np.zeros((n if pat is None else pat.nnz, params.size))
-            for comp, pat in pats.items()}
+    pats, kept, dofs = _patterns(ctx), ctx.kept, ctx.ever_active
+    S = {var: np.zeros((dofs.size, params.size)) for var in VARS}
+    vals = {comp: np.zeros((kept[comp].size, params.size))
+            for comp in COMPONENTS}
     for k, mu in enumerate(params):
         ops = assemble_operators(ctx, float(mu), CENTER)
         for comp, v in zip(COMPONENTS, (ops.a_values, ops.m_values, ops.b,
                                         ops.c)):
-            vals[comp][:, k] = v
+            vals[comp][:, k] = v[kept[comp]]
         try:
             sol = solve_kkt(assemble_kkt(ops, ctx.case.alpha))
         except NumericalError as exc:
             raise NumericalError(f"offline solve failed at mu={mu}") from exc
         for var in VARS:
-            S[var][:, k] = getattr(sol, var)
+            S[var][:, k] = getattr(sol, var)[dofs]
     snaps = SnapshotSet(params, *(S[var] for var in VARS))
-    opsnaps = {comp: OperatorSnapshots(comp, params, vals[comp], pats[comp], n)
+    opsnaps = {comp: OperatorSnapshots(comp, params, vals[comp], pats[comp], n,
+                                       kept[comp])
                for comp in COMPONENTS}
     return snaps, opsnaps
 
@@ -232,7 +270,7 @@ def _deim_load(out: Path, s):
     for comp in COMPONENTS:
         indices = load_index_list(out / f"deim_{comp}_indices.txt")
         models[comp] = DeimModel(
-            comp, ctx.mesh.dof_count, pats[comp],
+            comp, ctx.mesh.dof_count, pats[comp], ctx.kept[comp],
             load_matrix(out / f"deim_{comp}_U.romb"), indices,
             _pairs_of_indices(indices, pats[comp]),
             load_matrix(out / f"deim_{comp}_proj.romb"),
@@ -261,11 +299,13 @@ STAGE_TABLE = dict(zip(STAGES, (
 )))
 
 
-def _aggregated(pod: dict[str, PodBasis], W, k: int | None = None):
+def _aggregated(pod: dict[str, PodBasis], ctx: AssemblyContext, W,
+                k: int | None = None):
     """State/adjoint aggregation of the first k stored modes per variable
     (those with fewer use all they have); by default the retained modes."""
     return aggregate_basis(*(pod[v].truncated(pod[v].retained if k is None
-                                              else k) for v in VARS), W)
+                                              else k) for v in VARS), W,
+                           ctx.ever_active, ctx.mesh.dof_count)
 
 
 def _stage_config(cfg: RunConfig, name: str) -> dict:
@@ -344,11 +384,7 @@ def _walk(cfg: RunConfig, ctx: AssemblyContext, W, out: Path,
                                   f"({exc}); rerun offline with '{name}' "
                                   f"in stages") from exc
     if "pod" in state:
-        basis = _aggregated(state["pod"], W)
-        # a column slice of the stored modes is strided; the lift is faster
-        # on a contiguous copy
-        state["basis"] = AggregatedBasis(basis.V_yp,
-                                         np.ascontiguousarray(basis.V_u))
+        state["basis"] = _aggregated(state["pod"], ctx, W)
         if "deim_models" in state:
             state["rom"] = precompute_reduced_terms(
                 state["basis"], state["deim_models"], ctx, cfg.alpha)
@@ -391,8 +427,10 @@ def run_offline(cfg: RunConfig, out_dir=None) -> OfflineBundle:
 
 
 def _write_offline_summary(out: Path, bundle: OfflineBundle) -> None:
-    pod, deim_models = bundle.pod, bundle.deim_models
-    rows = []
+    pod, deim_models, ctx = bundle.pod, bundle.deim_models, bundle.ctx
+    rows = [("ever_active_dofs", "-", 0, ctx.ever_active.size)]
+    rows += [("ever_active_entries", comp, 0, ctx.kept[comp].size)
+             for comp in ("A", "M")]
     if pod is not None:
         for var in VARS:
             rows.append(("pod_retained", var, 0, pod[var].retained))
@@ -466,7 +504,7 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
                   if comp in (deim_dims or {}) else model
                   for comp, model in bundle.deim_models.items()}
         basis = bundle.basis if modes is None \
-            else _aggregated(bundle.pod, bundle.W, modes)
+            else _aggregated(bundle.pod, ctx, bundle.W, modes)
         rom = precompute_reduced_terms(basis, models, ctx, cfg.alpha)
 
     mus = sample_test_parameters(cfg)
@@ -474,6 +512,7 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
     all_ops = []
     error_rows = []
     norms = {comp: [] for comp in COMPONENTS}   # exact-operator norms
+    comp_errors = {comp: [] for comp in COMPONENTS}
     pivot_ratios = []
     for mu in mus:
         ops = assemble_operators(ctx, float(mu), CENTER)
@@ -481,15 +520,14 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
         sol = rom_solve(rom, float(mu))
         pivot_ratios.append(sol.pivot_ratio)
         errs, _ = relative_error(full, sol, ops.M)
-        comp_errs = {}
         for comp, model in rom.deim.items():
             exact = _exact_component(ops, comp)
             norms[comp].append(_norm(model, exact))
-            comp_errs[comp] = _component_error(model, rom.assemblers[comp],
-                                               float(mu), exact,
-                                               norms[comp][-1])
-        error_rows.append((mu, errs[0], errs[1], errs[2], comp_errs["A"],
-                           comp_errs["M"], comp_errs["b"], comp_errs["c"]))
+            comp_errors[comp].append(_component_error(
+                model, rom.assemblers[comp], float(mu), exact,
+                norms[comp][-1]))
+        error_rows.append((mu, *errs,
+                           *(comp_errors[c][-1] for c in COMPONENTS)))
         full_solutions.append(full)
         all_ops.append(ops)
 
@@ -498,7 +536,8 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
                   ["mu", "err_y", "err_u", "err_p", "deim_err_A",
                    "deim_err_M", "deim_err_b", "deim_err_c"], error_rows)
 
-        deim_rows = _deim_sweep(bundle, all_ops, mus, candidates, norms)
+        deim_rows = _deim_sweep(bundle, rom, all_ops, mus, candidates, norms,
+                                comp_errors)
         write_csv(out / "deim_errors.csv",
                   ["component", "m", "mean_rel_error"], deim_rows)
 
@@ -517,10 +556,14 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
             "modes": sweep_rows, "timings": dict(timing_rows)}
 
 
-def _deim_sweep(bundle: OfflineBundle, all_ops, mus, candidates, norms):
-    """Mean reconstruction error per component over a grid of dimensions;
-    ``norms`` holds the exact-operator norms per component and test
-    parameter."""
+def _deim_sweep(bundle: OfflineBundle, rom: RomModel, all_ops, mus,
+                candidates, norms, errors):
+    """Mean reconstruction error per component over a grid of dimensions.
+
+    ``norms`` and ``errors`` hold the exact-operator norms and the errors
+    of ``rom.deim`` per component and test parameter; the row of each
+    component's own dimension is the mean of its errors.
+    """
     rows = []
     for comp in COMPONENTS:
         model = bundle.deim_models[comp]
@@ -528,11 +571,14 @@ def _deim_sweep(bundle: OfflineBundle, all_ops, mus, candidates, norms):
         for m in DEIM_SWEEP:
             if m > model.m:
                 continue
-            sub = truncate_model(model, m, bundle.mesh, bundle.face_table,
-                                 candidates)
-            asm = PartialAssembler(sub, bundle.ctx)
-            errs = [_component_error(sub, asm, float(mu), e, nz)
-                    for mu, e, nz in zip(mus, exact, norms[comp])]
+            if m == rom.deim[comp].m:
+                errs = errors[comp]
+            else:
+                sub = truncate_model(model, m, bundle.mesh,
+                                     bundle.face_table, candidates)
+                asm = PartialAssembler(sub, bundle.ctx)
+                errs = [_component_error(sub, asm, float(mu), e, nz)
+                        for mu, e, nz in zip(mus, exact, norms[comp])]
             rows.append((comp, m, float(np.mean(errs))))
     return rows
 
@@ -542,7 +588,7 @@ def _modes_sweep(bundle: OfflineBundle, full_solutions, all_ops, mus):
     rows = []
     for k in MODES_SWEEP:
         # variables with fewer stored modes than k use all they have
-        basis_k = _aggregated(bundle.pod, bundle.W, k)
+        basis_k = _aggregated(bundle.pod, bundle.ctx, bundle.W, k)
         rom_k = precompute_reduced_terms(basis_k, bundle.deim_models,
                                          bundle.ctx, bundle.cfg.alpha)
         errs = np.zeros((len(mus), 3))
@@ -651,7 +697,7 @@ def run_verify(cfg: RunConfig, out_dir=None):
                    f"max deviation {dev:.3e}"))
 
     for comp, model in bundle.deim_models.items():
-        ident = model.projector[model.indices]
+        ident = model.projector[np.searchsorted(model.rows, model.indices)]
         dev = float(np.max(np.abs(ident - np.eye(model.m))))
         checks.append((f"deim_projector_identity_{comp}", dev <= 1e-12,
                        f"max deviation {dev:.3e}"))

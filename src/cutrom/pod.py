@@ -5,7 +5,10 @@ matrix C = S^T W S / M is diagonalized and the basis vectors are the
 snapshot combinations S x_i / sqrt(M lambda_i), which are W-orthonormal.
 W is the mass matrix of the full background box, a fixed SPD inner product
 that is well defined for snapshots extended by zero outside their active
-mesh.
+mesh.  Snapshots, bases and W are kept on the ever-active DOFs only (see
+``AssemblyContext``); every other row of a snapshot is exactly zero, so
+inner products and bases are those of the full rows, and a lift scatters
+back to full-length vectors.
 
 State and adjoint modes are merged into one aggregated space used for both
 trial and test blocks of the reduced optimality system.
@@ -53,7 +56,7 @@ class SnapshotSet:
     """Solution snapshots of the optimality system over a training sample."""
 
     params: np.ndarray             # (M,) sorted
-    S_y: np.ndarray                # (N, M)
+    S_y: np.ndarray                # (n_dofs, M) on the ever-active DOFs
     S_u: np.ndarray
     S_p: np.ndarray
 
@@ -67,7 +70,7 @@ class PodBasis:
     the first ``retained`` of them.
     """
 
-    vectors: np.ndarray            # (N, n_stored)
+    vectors: np.ndarray            # (n_dofs, n_stored)
     eigenvalues: np.ndarray        # (M,) non-increasing, clipped at zero
     retained: int
     tolerance: float
@@ -162,8 +165,10 @@ class AggregatedBasis:
     the state and adjoint blocks both spanned by ``V_yp``.
     """
 
-    V_yp: np.ndarray               # (N, n_yp)
-    V_u: np.ndarray                # (N, n_u)
+    V_yp: np.ndarray               # (n_dofs, n_yp)
+    V_u: np.ndarray                # (n_dofs, n_u)
+    dofs: np.ndarray               # (n_dofs,) ascending DOF ids
+    n: int                         # full-order DOF count
 
     @property
     def n_yp(self) -> int:
@@ -178,7 +183,7 @@ class AggregatedBasis:
         return 2 * self.n_yp + self.n_u
 
     def block_matrix(self) -> sp.csr_matrix:
-        """The 3N x reduced_dim block-diagonal basis."""
+        """The (3 n_dofs) x reduced_dim block-diagonal basis."""
         return sp.block_diag(
             [sp.csr_matrix(self.V_yp), sp.csr_matrix(self.V_u),
              sp.csr_matrix(self.V_yp)], format="csr")
@@ -188,18 +193,28 @@ class AggregatedBasis:
         return x[:nyp], x[nyp:nyp + nu], x[nyp + nu:]
 
     def lift(self, y_N, u_N, p_N):
-        return self.V_yp @ y_N, self.V_u @ u_N, self.V_yp @ p_N
+        """Full-length fields, zero outside ``dofs``."""
+        full = np.zeros((3, self.n))
+        full[0, self.dofs] = self.V_yp @ y_N
+        full[1, self.dofs] = self.V_u @ u_N
+        full[2, self.dofs] = self.V_yp @ p_N
+        return tuple(full)
 
 
 def aggregate_basis(V_y: np.ndarray, V_u: np.ndarray, V_p: np.ndarray,
-                    W: sp.csr_matrix) -> AggregatedBasis:
+                    W: sp.csr_matrix, dofs: np.ndarray,
+                    n: int) -> AggregatedBasis:
     """Concatenate state and adjoint modes and re-orthonormalize in W.
 
     Columns that become linearly dependent after projection (norm below
-    1e-10) are dropped; a complete rank collapse is an error.
+    1e-10) are dropped; a complete rank collapse is an error.  The rows are
+    the DOFs ``dofs`` of the ``n`` full-order DOFs.
     """
     merged = np.concatenate([V_y, V_p], axis=1)
     V_yp, kept = _w_orthonormalize(merged, W, drop_tol=DROP_TOL)
     if V_yp.shape[1] == 0:
         raise NumericalError("state/adjoint aggregation lost all columns")
-    return AggregatedBasis(V_yp, np.asarray(V_u, dtype=float))
+    # a column slice of stored modes is strided; the lift is faster on a
+    # contiguous copy
+    return AggregatedBasis(V_yp, np.ascontiguousarray(V_u, dtype=float),
+                           dofs, n)

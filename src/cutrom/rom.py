@@ -86,8 +86,10 @@ def precompute_reduced_terms(basis: AggregatedBasis,
     Vu = basis.V_u
 
     def matrix_modes(model: DeimModel):
+        # kept pattern entries laid out on the ever-active DOFs, which are
+        # the basis rows
         for j in range(model.m):
-            yield model.pattern.csr_with_values(model.projector[:, j])
+            yield ctx.kept_matrix(model.component, model.projector[:, j])
 
     mA = deim_models["A"].m
     mM = deim_models["M"].m

@@ -7,6 +7,7 @@ cols, then row-major float64, all little-endian.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -32,7 +33,7 @@ def save_matrix(path, matrix: np.ndarray) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<QQ", arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes())
+        fh.write(arr.data)      # the array's own buffer, no bytes copy
 
 
 def load_matrix(path) -> np.ndarray:
@@ -45,12 +46,18 @@ def load_matrix(path) -> np.ndarray:
             raise ConfigError(f"{path}: unsupported container version "
                               f"{version}")
         rows, cols = struct.unpack("<QQ", head[8:24])
-        data = fh.read()
-    expected = rows * cols * 8
-    if len(data) != expected:
+        expected = rows * cols * 8
+        size = os.fstat(fh.fileno()).st_size - len(head)
+        if size != expected:
+            raise ConfigError(f"{path}: truncated container "
+                              f"({size} of {expected} payload bytes)")
+        # read straight into the result, checked against short reads
+        arr = np.empty((rows, cols), dtype="<f8")
+        got = fh.readinto(arr.reshape(-1).view(np.uint8))
+    if got != expected:
         raise ConfigError(f"{path}: truncated container "
-                          f"({len(data)} of {expected} payload bytes)")
-    return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+                          f"({got} of {expected} payload bytes)")
+    return arr
 
 
 def save_index_list(path, values) -> None:

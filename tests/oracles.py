@@ -7,10 +7,17 @@ from cutrom import AggregatedBasis, AssemblyContext, ParametricOperators
 from cutrom.errors import PatternOverflowError
 
 
+def full_rows(basis: AggregatedBasis, V: np.ndarray) -> np.ndarray:
+    """Basis columns extended by zero to all N DOFs."""
+    out = np.zeros((basis.n, V.shape[1]))
+    out[basis.dofs] = V
+    return out
+
+
 def reduced_blocks_from_exact(basis: AggregatedBasis,
                               ops: ParametricOperators):
     """Blocks of the reduced system with the hyper-reduction bypassed."""
-    Vyp, Vu = basis.V_yp, basis.V_u
+    Vyp, Vu = full_rows(basis, basis.V_yp), full_rows(basis, basis.V_u)
     return (Vyp.T @ (ops.A @ Vyp),
             Vyp.T @ (ops.M @ Vyp),
             Vu.T @ (ops.M @ Vu),
@@ -26,7 +33,9 @@ def direct_projection(basis: AggregatedBasis, ops: ParametricOperators,
     big = sp.bmat([[ops.M, None, ops.A.T],
                    [None, alpha * ops.M, -ops.M.T],
                    [ops.A, -ops.M, None]], format="csr")
-    V = basis.block_matrix()
+    V = sp.block_diag([sp.csr_matrix(full_rows(basis, V_k))
+                       for V_k in (basis.V_yp, basis.V_u, basis.V_yp)],
+                      format="csr")
     K = (V.T @ (big @ V)).toarray()
     rhs = V.T @ np.concatenate([ops.b, np.zeros(n), ops.c])
     return K, rhs

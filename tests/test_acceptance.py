@@ -162,7 +162,9 @@ def test_criterion_5_rom_error_decay(bench):
     for k in MODES_SWEEP:
         basis_k = aggregate_basis(bundle.pod["y"].truncated(k),
                                   bundle.pod["u"].truncated(k),
-                                  bundle.pod["p"].truncated(k), bundle.W)
+                                  bundle.pod["p"].truncated(k), bundle.W,
+                                  bundle.ctx.ever_active,
+                                  bundle.mesh.dof_count)
         rom_k = precompute_reduced_terms(basis_k, bundle.deim_models,
                                          bundle.ctx, cfg.alpha)
         errs = np.zeros((len(bench["mus"]), 3))

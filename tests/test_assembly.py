@@ -323,3 +323,24 @@ def test_block_offsets_locate_block_entries(coarse_problem):
     assert np.array_equal(ctx.pattern_A.keys[off[inside]], keys6)
     assert np.all(off[~inside] == ctx.pattern_A.nnz)
     assert inside.any() and not inside.all()
+
+
+def test_operators_vanish_outside_the_ever_active_set(default_problem):
+    # snapshots and bases keep only the ever-active rows; every other
+    # operator entry and solution value must be exactly zero
+    from cutrom import assemble_kkt, solve_kkt
+
+    (mesh, ft, case, ctx, _), mus = default_problem
+    assert ctx.ever_active.size < mesh.dof_count
+    assert ctx.kept["A"].size < ctx.pattern_A.nnz
+    for mu in mus:
+        ops = ctx.assemble(classify_elements(mesh, ft,
+                                             LevelSetSquare(mu, CENTER)))
+        assert np.all(np.isin(ops.active_dofs, ctx.ever_active)), mu
+        sol = solve_kkt(assemble_kkt(ops, case.alpha))
+        for comp, values in (("A", ops.a_values), ("M", ops.m_values),
+                             ("b", ops.b), ("c", ops.c), ("y", sol.y),
+                             ("u", sol.u), ("p", sol.p)):
+            outside = np.ones(values.size, dtype=bool)
+            outside[ctx.kept.get(comp, ctx.ever_active)] = False
+            assert np.all(values[outside] == 0.0), (comp, mu)

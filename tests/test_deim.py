@@ -13,7 +13,8 @@ from cutrom.mesh import vertex_to_elements
 def _vector_snaps(values, n=None):
     values = np.asarray(values, dtype=float)
     return OperatorSnapshots("b", np.arange(values.shape[1], dtype=float),
-                             values, None, n or values.shape[0])
+                             values, None, n or values.shape[0],
+                             np.arange(values.shape[0]))
 
 
 def test_rank_one_family():
@@ -101,11 +102,17 @@ def operator_snaps(coarse_problem):
 
 
 def test_snapshot_structure(operator_snaps, coarse_problem):
+    # rows are the kept entries: ever-active DOFs, and pattern entries
+    # with an ever-active row and column
     ctx = coarse_problem["ctx"]
-    n = coarse_problem["mesh"].dof_count
-    assert operator_snaps["b"].values.shape[0] == n
-    assert operator_snaps["c"].values.shape[0] == n
-    assert operator_snaps["A"].values.shape[0] == ctx.pattern_A.nnz
+    n_kept = ctx.ever_active.size
+    assert operator_snaps["b"].values.shape[0] == n_kept
+    assert operator_snaps["c"].values.shape[0] == n_kept
+    for comp, pattern in (("A", ctx.pattern_A), ("M", ctx.pattern_M)):
+        kept = ctx.kept[comp]
+        assert operator_snaps[comp].values.shape[0] == kept.size
+        assert np.all(np.isin(pattern.rows[kept], ctx.ever_active))
+        assert np.all(np.isin(pattern.cols[kept], ctx.ever_active))
     assert set(ctx.pattern_M.keys.tolist()) <= set(ctx.pattern_A.keys.tolist())
 
 

@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -101,6 +104,27 @@ def test_stale_bundle_detected(tiny_bundle, tmp_path):
         (out / "config.resolved").write_text(text)
 
 
+def test_lock_of_exited_process_is_reclaimed(tmp_path):
+    out = tmp_path / "b"
+    out.mkdir()
+    child = subprocess.run([sys.executable, "-c",
+                            "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True)
+    (out / ".lock").write_text(child.stdout, encoding="ascii")
+    assert _cli(tmp_path, "offline", out) == 0
+    assert not (out / ".lock").exists()
+
+
+def test_lock_of_live_process_is_held(tmp_path, capsys):
+    out = tmp_path / "b"
+    out.mkdir()
+    (out / ".lock").write_text(f"{os.getpid()}\n", encoding="ascii")
+    assert _cli(tmp_path, "offline", out) == 2
+    assert f"PID {os.getpid()}" in capsys.readouterr().err
+    assert (out / ".lock").read_text(encoding="ascii") == f"{os.getpid()}\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_output_lock(tiny_bundle):
     out = tiny_bundle["out"]
     (out / ".lock").touch()
@@ -136,6 +160,31 @@ def test_online_reports(tiny_bundle):
     errs, _ = relative_error(full, sol, ops.M)
     for k in range(3):
         assert abs(float(rows[0][1 + k]) - errs[k]) <= 1e-14
+
+
+def test_deim_sweep_row_of_model_dimension_is_main_loop_mean(tiny_bundle,
+                                                             monkeypatch):
+    # the deim_errors.csv row at a model's own dimension is the mean of its
+    # online_errors.csv column, not a second reconstruction
+    from cutrom import pipeline
+
+    out = tiny_bundle["out"]
+    dims = {c: m.m for c, m in tiny_bundle["bundle"].deim_models.items()}
+    monkeypatch.setattr(pipeline, "DEIM_SWEEP", tuple(set(dims.values())))
+    truncated = []
+    monkeypatch.setattr(pipeline, "truncate_model",
+                        lambda model, m, *a: truncated.append(m))
+    run_online(tiny_bundle["cfg"])
+    header, rows = read_csv(out / "online_errors.csv")
+    _, deim_rows = read_csv(out / "deim_errors.csv")
+    checked = set()
+    for comp, m, value in deim_rows:
+        if int(m) == dims[comp]:
+            col = header.index(f"deim_err_{comp}")
+            assert float(value) == float(np.mean(
+                [float(row[col]) for row in rows])), comp
+            checked.add(comp)
+    assert checked == set(dims) and truncated == []
 
 
 def test_online_deterministic(tiny_bundle, tmp_path):
@@ -222,6 +271,7 @@ def test_cli_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "offline summary" in out
     assert "online errors" in out
+    assert "ever_active_dofs" in out and "ever_active_entries      A" in out
 
 
 def test_cli_error_codes(tmp_path, capsys):
@@ -287,6 +337,22 @@ def test_deim_rerun_against_other_seed_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'snapshots'" in err and "seed=5" in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_format_2_manifest_is_rejected(tmp_path):
+    # format 2 stored every row of the snapshots and bases
+    import json
+
+    out = tmp_path / "b"
+    assert _cli(tmp_path, "offline", out) == 0
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**manifest, "format": 2}), encoding="utf-8")
+    assert _cli(tmp_path, "online", out) == 2
+    assert _cli(tmp_path, "verify", out) == 2
+    assert _cli(tmp_path, "offline", out, stages="pod") == 2
+    assert _cli(tmp_path, "offline", out) == 0
+    assert _cli(tmp_path, "online", out) == 0
 
 
 def test_format_1_manifest_is_rejected(tmp_path):

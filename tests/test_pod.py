@@ -93,11 +93,11 @@ def snapshot_set(coarse_problem):
 
 
 def test_snapshots_zero_on_inactive(snapshot_set, coarse_problem):
+    # snapshot rows are the ever-active DOFs
     ctx = coarse_problem["ctx"]
     for k, mu in enumerate(snapshot_set.params):
         ops = assemble_operators(ctx, float(mu))
-        mask = np.ones(ctx.mesh.dof_count, dtype=bool)
-        mask[ops.active_dofs] = False
+        mask = ~np.isin(ctx.ever_active, ops.active_dofs)
         assert np.all(snapshot_set.S_y[mask, k] == 0.0)
         assert np.all(snapshot_set.S_u[mask, k] == 0.0)
 
@@ -105,12 +105,12 @@ def test_snapshots_zero_on_inactive(snapshot_set, coarse_problem):
 def test_single_parameter_snapshot(coarse_problem):
     from cutrom import assemble_kkt, solve_kkt
 
-    snaps = training_sweep([0.44], coarse_problem["ctx"],
-                           coarse_problem["W"])[0]
-    ops = assemble_operators(coarse_problem["ctx"], 0.44)
+    ctx = coarse_problem["ctx"]
+    snaps = training_sweep([0.44], ctx, coarse_problem["W"])[0]
+    ops = assemble_operators(ctx, 0.44)
     sol = solve_kkt(assemble_kkt(ops, coarse_problem["case"].alpha))
-    assert np.array_equal(snaps.S_y[:, 0], sol.y)
-    assert np.array_equal(snaps.S_p[:, 0], sol.p)
+    assert np.array_equal(snaps.S_y[:, 0], sol.y[ctx.ever_active])
+    assert np.array_equal(snaps.S_p[:, 0], sol.p[ctx.ever_active])
 
 
 def test_duplicate_parameter_gives_identical_columns(coarse_problem):
@@ -165,18 +165,21 @@ def test_aggregate_drops_duplicates(snapshot_set, coarse_problem):
     by = pod_basis(snapshot_set.S_y, W, eps=1e-5)
     bu = pod_basis(snapshot_set.S_u, W, eps=1e-5)
     Vy = by.vectors[:, :by.retained]
-    agg = aggregate_basis(Vy, bu.vectors[:, :bu.retained], Vy, W)
+    agg = aggregate_basis(Vy, bu.vectors[:, :bu.retained], Vy, W,
+                          coarse_problem["ctx"].ever_active,
+                          coarse_problem["mesh"].dof_count)
     assert agg.n_yp == Vy.shape[1]
 
 
 def test_aggregate_orthogonal_inputs(coarse_problem):
     W = coarse_problem["W"]
-    n = coarse_problem["mesh"].dof_count
+    n = W.shape[0]
     Va = np.zeros((n, 2))
     Vb = np.zeros((n, 2))
     Va[0, 0] = Va[1, 1] = 1.0
     Vb[2, 0] = Vb[3, 1] = 1.0
-    agg = aggregate_basis(Va, Va, Vb, W)
+    agg = aggregate_basis(Va, Va, Vb, W, coarse_problem["ctx"].ever_active,
+                          coarse_problem["mesh"].dof_count)
     assert agg.n_yp == 4
 
 
@@ -186,7 +189,9 @@ def test_block_basis_orthonormal(snapshot_set, coarse_problem):
              for v in ("y", "u", "p")}
     agg = aggregate_basis(bases["y"].vectors[:, :bases["y"].retained],
                           bases["u"].vectors[:, :bases["u"].retained],
-                          bases["p"].vectors[:, :bases["p"].retained], W)
+                          bases["p"].vectors[:, :bases["p"].retained], W,
+                          coarse_problem["ctx"].ever_active,
+                          coarse_problem["mesh"].dof_count)
     Vb = agg.block_matrix()
     W3 = sp.block_diag([W, W, W], format="csr")
     gram = (Vb.T @ (W3 @ Vb)).toarray()

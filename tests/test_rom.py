@@ -26,7 +26,8 @@ def rom_setup(coarse_problem):
            for v in ("y", "u", "p")}
     basis = aggregate_basis(pod["y"].vectors[:, :pod["y"].retained],
                             pod["u"].vectors[:, :pod["u"].retained],
-                            pod["p"].vectors[:, :pod["p"].retained], W)
+                            pod["p"].vectors[:, :pod["p"].retained], W,
+                            ctx.ever_active, mesh.dof_count)
     cand = cut_candidates(mesh, 0.4, 0.5)
     models = {}
     for comp in "AMbc":
@@ -76,7 +77,8 @@ def test_full_rank_basis_reproduces_full_solution(rom_setup):
             for v in ("y", "u", "p")}
     basis = aggregate_basis(pod0["y"].vectors[:, :pod0["y"].retained],
                             pod0["u"].vectors[:, :pod0["u"].retained],
-                            pod0["p"].vectors[:, :pod0["p"].retained], W)
+                            pod0["p"].vectors[:, :pod0["p"].retained], W,
+                            ctx.ever_active, ctx.mesh.dof_count)
     mu = float(rom_setup["params"][5])
     ops = assemble_operators(ctx, mu)
     full = solve_kkt(assemble_kkt(ops, ctx.case.alpha))
@@ -94,14 +96,15 @@ def test_full_rank_basis_reproduces_full_solution(rom_setup):
 def test_identity_basis_terms_equal_projector_columns(rom_setup):
     ctx = rom_setup["ctx"]
     models = rom_setup["models"]
-    n = ctx.mesh.dof_count
-    eye = np.eye(n)
-    ident = AggregatedBasis(eye, eye)
+    dofs = ctx.ever_active
+    eye = np.eye(dofs.size)
+    ident = AggregatedBasis(eye, eye, dofs, ctx.mesh.dof_count)
     rom = precompute_reduced_terms(ident, models, ctx, ctx.case.alpha)
     model = models["A"]
     for j in (0, model.m - 1):
-        dense = model.pattern.csr_with_values(
-            model.projector[:, j]).toarray()
+        full = model.pattern.csr_with_values(
+            model.expand(model.projector[:, j]))
+        dense = full[dofs][:, dofs].toarray()
         assert np.abs(rom.A_terms[j] - dense).max() <= 1e-14
     vec = models["b"].projector[:, 0]
     assert np.abs(rom.b_terms[0] - vec).max() <= 1e-14
@@ -186,7 +189,8 @@ def test_online_cost_independent_of_mesh_size():
         pod = {v: pod_basis(getattr(snaps, f"S_{v}"), W, 1e-5, min_stored=5)
                for v in ("y", "u", "p")}
         basis = aggregate_basis(pod["y"].truncated(5), pod["u"].truncated(5),
-                                pod["p"].truncated(5), W)
+                                pod["p"].truncated(5), W, ctx.ever_active,
+                                mesh.dof_count)
         cand = cut_candidates(mesh, 0.4, 0.5)
         models = {}
         for comp in "AMbc":
@@ -203,15 +207,23 @@ def test_online_cost_independent_of_mesh_size():
 
 
 def test_lifted_fields_live_in_basis_ranges(rom_setup):
+    # W and the basis rows are the ever-active DOFs; the lift is exactly
+    # zero on every other DOF
     rom = rom_setup["rom"]
     basis = rom_setup["basis"]
     W = rom_setup["W"]
     sol = rom_solve(rom, 0.481)
+    outside = np.ones(basis.n, dtype=bool)
+    outside[basis.dofs] = False
+    assert outside.any()
     for field, V in ((sol.y, basis.V_yp), (sol.u, basis.V_u),
                      (sol.p, basis.V_yp)):
-        proj = V @ (V.T @ (W @ field))
-        assert np.abs(field - proj).max() <= 1e-10 * max(
-            1.0, np.abs(field).max())
+        assert field.shape == (basis.n,)
+        assert np.all(field[outside] == 0.0)
+        kept = field[basis.dofs]
+        proj = V @ (V.T @ (W @ kept))
+        assert np.abs(kept - proj).max() <= 1e-10 * max(
+            1.0, np.abs(kept).max())
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +240,8 @@ def paper_rom():
     pod = {v: pod_basis(getattr(snaps, f"S_{v}"), W, 1e-5)
            for v in ("y", "u", "p")}
     basis = aggregate_basis(*(pod[v].truncated(pod[v].retained)
-                              for v in ("y", "u", "p")), W)
+                              for v in ("y", "u", "p")), W, ctx.ever_active,
+                            mesh.dof_count)
     cand = cut_candidates(mesh, 0.4, 0.5)
     models = {}
     for comp in "AMbc":
