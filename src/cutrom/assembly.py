@@ -148,10 +148,10 @@ class AssemblyContext:
     """Mesh- and case-level precomputations shared by all parameter values.
 
     The ghost-penalty facet blocks are parameter independent for P1 (the
-    gradient jumps are elementwise constant), so each facet's 6x6 block is
-    precomputed once and only gathered online, and so are the pattern
-    offsets of every element's 3x3 block (``elem_offsets``) and facet's 6x6
-    block (``ghost_offsets``).
+    gradient jumps are elementwise constant), so the 6x6 block of each facet
+    in the stiffness pattern is precomputed once and only gathered online
+    (``ghost_blocks``), and so are the pattern offsets of every element's
+    3x3 block (``elem_offsets``) and facet's 6x6 block (``ghost_offsets``).
 
     The context also owns the ever-active set.  By monotonicity of the
     level-set family in mu, no element outside the square at mu_max is ever
@@ -175,24 +175,11 @@ class AssemblyContext:
         self.grads = p1_gradients(mesh)                    # (ne, 3, 2)
         self.centroids = mesh.element_coords().mean(axis=1)
 
-        fv = mesh.vertices[face_table.faces]               # (nf, 2, 2)
-        tang = fv[:, 1] - fv[:, 0]
-        self.face_len = np.hypot(tang[:, 0], tang[:, 1])
-        normal = np.column_stack([tang[:, 1], -tang[:, 0]])
-        self.face_normal = normal / self.face_len[:, None]
-
         inter = face_table.face_right >= 0
         left = face_table.face_left
         right = np.where(inter, face_table.face_right, left)
         self.face_dofs6 = np.concatenate(
             [mesh.elements[left], mesh.elements[right]], axis=1)
-        jl = np.einsum("fid,fd->fi", self.grads[left], self.face_normal)
-        jr = np.einsum("fid,fd->fi", self.grads[right], self.face_normal)
-        jump = np.concatenate([jl, -jr], axis=1)           # (nf, 6)
-        scale = case.gamma_1 * self.h * self.face_len
-        self.ghost_blocks = scale[:, None, None] \
-            * np.einsum("fi,fj->fij", jump, jump)
-        self.ghost_blocks[~inter] = 0.0
 
         # faces that can carry a jump term: with a side that can be cut in
         # the parameter range, or every interior face without a range
@@ -210,11 +197,23 @@ class AssemblyContext:
         elem_a, ghost = self.pattern_A.block_offsets
         self.elem_offsets = {"A": elem_a,
                              "M": self.pattern_M.block_offsets[0]}
-        # one row per face in the pattern, then a row of nnz for the rest
+        # one row per face in the pattern, then a row for the rest: offsets
+        # nnz and a zero block
         self._ghost_table = np.vstack(
             [ghost, np.full((1, 36), self.pattern_A.nnz)])
         self._ghost_row = np.full(face_table.faces.shape[0], faces.size)
         self._ghost_row[faces] = np.arange(faces.size)
+        fv = mesh.vertices[face_table.faces[faces]]        # (k, 2, 2)
+        tang = fv[:, 1] - fv[:, 0]
+        face_len = np.hypot(tang[:, 0], tang[:, 1])
+        normal = np.column_stack([tang[:, 1], -tang[:, 0]]) / face_len[:, None]
+        jl = np.einsum("fid,fd->fi", self.grads[left[faces]], normal)
+        jr = np.einsum("fid,fd->fi", self.grads[right[faces]], normal)
+        jump = np.concatenate([jl, -jr], axis=1)           # (k, 6)
+        scale = case.gamma_1 * self.h * face_len
+        self._ghost_blocks = np.zeros((faces.size + 1, 6, 6))
+        self._ghost_blocks[:-1] = scale[:, None, None] \
+            * np.einsum("fi,fj->fij", jump, jump)
 
         # the ever-active set: DOFs of the elements not outside at mu_max,
         # and the pattern entries with both row and column among them
@@ -245,6 +244,11 @@ class AssemblyContext:
         """Stiffness-pattern offsets of the facets' 6x6 ghost blocks,
         (k, 36); ``pattern_A.nnz`` for a facet outside the pattern."""
         return self._ghost_table[self._ghost_row[facets]]
+
+    def ghost_blocks(self, facets) -> np.ndarray:
+        """The facets' 6x6 ghost-penalty blocks, (k, 6, 6); zero for a
+        facet outside the pattern."""
+        return self._ghost_blocks[self._ghost_row[facets]]
 
     # -- contribution streams -------------------------------------------
     def streams(self, sub: SubsetGeometry, ghost_facets,
@@ -309,7 +313,7 @@ class AssemblyContext:
                 vec["c"].append((dofs[bp].ravel(), data.ravel()))
 
         if "A" in need and len(ghost_facets):
-            vals_a.append(self.ghost_blocks[ghost_facets].ravel())
+            vals_a.append(self.ghost_blocks(ghost_facets).ravel())
 
         # np.bincount adds in input order, like sequential scatter-adds
         b, c = (np.bincount(*map(np.concatenate, zip(*vec[k])), minlength=n)

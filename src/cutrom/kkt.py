@@ -8,19 +8,24 @@ The first-order conditions couple state, control and adjoint into one
     [ A  -M    0  ] [p]   [c]
 
 whose rows at DOFs outside the active mesh are pinned to zero.  On the
-active DOFs the control row gives u = p/a, so the solve factors the
-condensed system of 2 n_active rows
+active DOFs the control row gives u = p/a, which leaves the state/adjoint
+rows M_aa y + A_aa^T p = b_a and A_aa y - M_aa p / a = c_a.  The stiffness
+matrix is symmetric (diffusion, symmetric Nitsche terms, ghost penalty),
+so with s = sqrt(a) these two real rows are the real and imaginary parts
+of one complex-symmetric system of n_active rows
 
-    [ M_aa   A_aa^T  ] [y_a]   [b_a]
-    [ A_aa  -M_aa/a  ] [p_a] = [c_a]
+    (M_aa + i s A_aa) w = b_a + i s c_a,    w = y_a - i p_a / s,
 
-and sets u = p/a there; the matrix is built in one CSC construction from
-the CSR arrays of the active rows of M and A.  An active DOF with an empty
-mass row (a boundary exactly on mesh lines) has a free control component
-that enters no equation; it is set to zero, as is every component outside
-the active mesh.  The pinned 3N system stays available as
-``KktSystem.matrix`` and ``.rhs``, built on first access, and the solve
-checks its residual one block row at a time without forming it.
+which is nonsingular whenever A_aa is positive definite, even where M_aa is
+singular.  The solve factors it, sets y = Re w, p = -s Im w and u = p/a on
+the active DOFs; the matrix is built in one CSC construction from the CSR
+arrays of the active rows of M and A.  A nonsymmetric A breaks this
+equivalence; the residual check below, which uses A^T, then fails.  An
+active DOF with an empty mass row (a boundary exactly on mesh lines) has a
+free control component that enters no equation; it is set to zero, as is
+every component outside the active mesh.  The pinned 3N system stays
+available as ``KktSystem.matrix`` and ``.rhs``, built on first access, and
+the solve checks its residual one block row at a time without forming it.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ RESIDUAL_TOL = 1e-9
 class KktSystem:
     ops: ParametricOperators
     alpha: float
-    condensed: sp.csc_matrix       # 2 n_active x 2 n_active
-    condensed_rhs: np.ndarray      # (2 n_active,)
+    condensed: sp.csc_matrix       # n_active x n_active, complex128
+    condensed_rhs: np.ndarray      # (n_active,), complex128
 
     @property
     def n(self) -> int:
@@ -121,24 +126,26 @@ def _active_entries(mat: sp.csr_matrix, active: np.ndarray,
 
 
 def assemble_kkt(ops: ParametricOperators, alpha: float) -> KktSystem:
-    """Form the condensed system on the active DOFs."""
+    """Form the complex-symmetric condensed system on the active DOFs."""
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     n = ops.A.shape[0]
     if ops.M.shape != (n, n) or ops.b.shape != (n,) or ops.c.shape != (n,):
         raise ValueError("inconsistent operator dimensions")
     active = ops.active_dofs
     na = active.size
+    s = np.sqrt(alpha)
     # int32 indices let the sparse constructor skip downcast scans
     local = np.full(n, -1, dtype=np.int32)
     local[active] = np.arange(na)
     mi, mj, mv = _active_entries(ops.M, active, local)
     ai, aj, av = _active_entries(ops.A, active, local)
-    # [[M_aa, A_aa^T], [A_aa, -M_aa/alpha]], dividing as scipy.sparse does
+    # M_aa + i s A_aa; the constructor sums the entries both patterns share
     K = sp.csc_matrix(
-        (np.concatenate([mv, av, av, (-mv) * (1.0 / alpha)]),
-         (np.concatenate([mi, aj, na + ai, na + mi]),
-          np.concatenate([mj, na + ai, aj, na + mj]))),
-        shape=(2 * na, 2 * na))
-    rhs = np.concatenate([ops.b[active], ops.c[active]])
+        (np.concatenate([mv, 1j * (s * av)]),
+         (np.concatenate([mi, ai]), np.concatenate([mj, aj]))),
+        shape=(na, na))
+    rhs = ops.b[active] + 1j * (s * ops.c[active])
     return KktSystem(ops, alpha, K, rhs)
 
 
@@ -156,7 +163,7 @@ def solve_kkt(system: KktSystem) -> FullSolution:
     residual of the 3N system."""
     t0 = time.perf_counter()
     try:
-        x = spla.splu(system.condensed).solve(system.condensed_rhs)
+        w = spla.splu(system.condensed).solve(system.condensed_rhs)
     except RuntimeError as exc:  # SuperLU reports the failing pivot
         raise NumericalError(
             f"singular optimality system at mu={system.mu}: {exc}") from exc
@@ -164,8 +171,8 @@ def solve_kkt(system: KktSystem) -> FullSolution:
 
     active, n = system.active_dofs, system.n
     y, u, p = np.zeros(n), np.zeros(n), np.zeros(n)
-    y[active] = x[:active.size]
-    p[active] = x[active.size:]
+    y[active] = w.real
+    p[active] = -np.sqrt(system.alpha) * w.imag
     u[active] = p[active] / system.alpha
     u[system.free_controls] = 0.0
     res = _residual(system, y, u, p)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cutrom import AggregatedBasis, AssemblyContext, ParametricOperators
 from cutrom.errors import PatternOverflowError
@@ -140,7 +141,7 @@ def coo_streams(ctx: AssemblyContext, sub, ghost_facets,
         r, cc = block(ctx.face_dofs6[facets])
         rows_a.append(r)
         cols_a.append(cc)
-        vals_a.append(ctx.ghost_blocks[facets].ravel())
+        vals_a.append(ctx.ghost_blocks(facets).ravel())
 
     cat = (lambda parts, dtype: np.concatenate(parts) if parts
            else np.zeros(0, dtype=dtype))
@@ -168,9 +169,36 @@ def coo_assemble(ctx: AssemblyContext, geom, need=frozenset("AMbc")):
 
 
 def bmat_condensed(ops: ParametricOperators, alpha: float) -> sp.csc_matrix:
-    """Condensed system [[M_aa, A_aa^T], [A_aa, -M_aa/alpha]] from sliced
-    submatrices and a block matrix."""
+    """Real condensed system [[M_aa, A_aa^T], [A_aa, -M_aa/alpha]] of
+    2 n_active rows from sliced submatrices and a block matrix."""
     active = ops.active_dofs
     M_aa = ops.M[active][:, active]
     A_aa = ops.A[active][:, active]
     return sp.bmat([[M_aa, A_aa.T], [A_aa, -M_aa / alpha]], format="csc")
+
+
+def real_condensed_solve(ops: ParametricOperators, alpha: float):
+    """(y, u, p) from a sparse LU of the real condensed system; free
+    controls and every component outside the active mesh are 0."""
+    active, n = ops.active_dofs, ops.A.shape[0]
+    rhs = np.concatenate([ops.b[active], ops.c[active]])
+    x = spla.splu(bmat_condensed(ops, alpha)).solve(rhs)
+    y, u, p = np.zeros(n), np.zeros(n), np.zeros(n)
+    y[active] = x[:active.size]
+    p[active] = x[active.size:]
+    u[active] = p[active] / alpha
+    u[active[ops.M.diagonal()[active] == 0.0]] = 0.0
+    return y, u, p
+
+
+def sliced_condensed(ops: ParametricOperators, alpha: float) -> sp.csc_matrix:
+    """Complex condensed system M_aa + i sqrt(alpha) A_aa from sliced
+    submatrices, explicit zeros kept."""
+    active = ops.active_dofs
+    M_aa = ops.M[active][:, active].tocoo()
+    A_aa = ops.A[active][:, active].tocoo()
+    data = np.concatenate([M_aa.data.astype(complex),
+                           1j * np.sqrt(alpha) * A_aa.data])
+    return sp.csc_matrix(
+        (data, (np.concatenate([M_aa.row, A_aa.row]),
+                np.concatenate([M_aa.col, A_aa.col]))), shape=M_aa.shape)

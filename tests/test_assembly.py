@@ -65,7 +65,8 @@ def test_ghost_term_vanishes_on_constants(coarse_problem):
     # annihilates the all-ones vector over its six local DOFs
     ctx = coarse_problem["ctx"]
     ones6 = np.ones(6)
-    residual = np.abs(ctx.ghost_blocks @ ones6).max()
+    faces = np.arange(ctx.face_table.faces.shape[0])
+    residual = np.abs(ctx.ghost_blocks(faces) @ ones6).max()
     assert residual <= 1e-12
 
 

@@ -6,7 +6,9 @@ from cutrom import ParametricOperators, RunConfig, assemble_kkt, \
     assemble_operators, solve_kkt
 from cutrom.kkt import RESIDUAL_TOL
 from cutrom.pipeline import CENTER, build_problem
-from oracles import bitwise_equal, bmat_condensed, cost_value
+from cutrom.errors import NumericalError
+from oracles import bitwise_equal, cost_value, real_condensed_solve, \
+    sliced_condensed
 
 
 def _toy_ops(n=1, b=0.0, c=0.0, active=None):
@@ -207,23 +209,27 @@ def test_residual_recorded(solved):
 
 def _assert_same_csc(new, old):
     assert new.format == "csc" and new.has_canonical_format
+    assert new.dtype == np.complex128
     old = old.copy()
     old.sum_duplicates()  # canonical order; explicit zeros are kept
     assert new.shape == old.shape
     assert np.array_equal(new.indptr, old.indptr)
     assert np.array_equal(new.indices, old.indices)
-    assert bitwise_equal(new.data, old.data)
+    # signed zeros of the real part may differ
+    assert np.array_equal(new.data.real, old.data.real)
+    assert bitwise_equal(new.data.imag, old.data.imag)
 
 
 def test_condensed_matrix_matches_block_build(default_problem):
-    # the direct build equals slicing plus bmat bitwise, explicit zeros
-    # (pattern entries of elements outside the domain) included
+    # the direct build equals M_aa + i sqrt(alpha) A_aa built by slicing,
+    # explicit zeros (pattern entries of elements outside the domain)
+    # included
     (_, _, case, ctx, _), mus = default_problem
     zeros = 0
     for mu in (*mus, 0.4805):
         ops = assemble_operators(ctx, mu, CENTER)
         K = assemble_kkt(ops, case.alpha).condensed
-        _assert_same_csc(K, bmat_condensed(ops, case.alpha))
+        _assert_same_csc(K, sliced_condensed(ops, case.alpha))
         zeros += np.count_nonzero(K.data == 0.0)
     assert zeros > 0
 
@@ -242,6 +248,57 @@ def test_condensed_matrix_of_hand_built_operators():
     for ops in (_toy_ops(1), _toy_ops(3), pinned):
         for alpha in (1.0, 1e-4, 3.0):
             K = assemble_kkt(ops, alpha).condensed
-            _assert_same_csc(K, bmat_condensed(ops, alpha))
-    assert K.shape == (6, 6) and K.nnz == 16
-    assert np.count_nonzero(K.data == 0.0) == 4
+            _assert_same_csc(K, sliced_condensed(ops, alpha))
+    assert K.shape == (3, 3) and K.nnz == 4
+    assert np.count_nonzero(K.data == 0.0) == 1
+
+
+def test_condensed_system_is_complex_of_active_size(solved):
+    for ops, system, _ in solved:
+        na = ops.active_dofs.size
+        assert system.condensed.shape == (na, na)
+        assert system.condensed.dtype == np.complex128
+        assert system.condensed_rhs.shape == (na,)
+        assert system.condensed_rhs.dtype == np.complex128
+
+
+def _assert_matches_real_solve(ops, alpha):
+    sol = solve_kkt(assemble_kkt(ops, alpha))
+    for new, old in zip((sol.y, sol.u, sol.p),
+                        real_condensed_solve(ops, alpha)):
+        assert np.abs(new - old).max() <= 1e-10 * np.abs(old).max()
+
+
+def test_complex_solve_matches_real_condensed_solve(default_problem):
+    # default config at h = 0.09 and h = 0.0225, the seed-310 mu included
+    (_, _, case, ctx, _), mus = default_problem
+    assert 0.4034487 in mus
+    for mu in mus:
+        _assert_matches_real_solve(assemble_operators(ctx, mu, CENTER),
+                                   case.alpha)
+
+
+def test_complex_solve_matches_real_condensed_solve_coarse(coarse_problem):
+    # mu = 0.5 lies on mesh lines at h = 0.2: free controls
+    ctx, alpha = coarse_problem["ctx"], coarse_problem["case"].alpha
+    for mu in (0.4, 0.4034487, 0.45, 0.5):
+        _assert_matches_real_solve(assemble_operators(ctx, mu, CENTER),
+                                   alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1e-4, float("nan"), float("inf")])
+def test_bad_alpha_rejected(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        assemble_kkt(_toy_ops(2), alpha)
+
+
+def test_nonsymmetric_stiffness_fails_loudly():
+    # the complex system assumes A = A^T; the 3N residual check, which
+    # uses A^T, catches a stiffness matrix that is not
+    A = sp.csr_matrix(np.array([[2.0, 0.5], [0.0, 2.0]]))
+    ops = ParametricOperators(mu=0.0, A=A, M=sp.identity(2, format="csr"),
+                              b=np.ones(2), c=np.ones(2),
+                              active_dofs=np.arange(2),
+                              a_values=np.zeros(1), m_values=np.zeros(1))
+    with pytest.raises(NumericalError, match="residual"):
+        solve_kkt(assemble_kkt(ops, alpha=1.0))
