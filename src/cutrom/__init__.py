@@ -16,8 +16,8 @@ from .deim import DeimModel, OperatorSnapshots, PartialAssembler, \
     spectral_norm, truncate_model
 from .errors import ConfigError, NumericalError, PatternOverflowError
 from .kkt import FullSolution, KktSystem, assemble_kkt, solve_kkt
-from .levelset import CutGeometry, LevelSetSquare, boundary_quadrature, \
-    classify_elements, cut_candidates, eval_levelset, interior_quadrature
+from .levelset import CutGeometry, LevelSetSquare, classify_elements, \
+    cut_candidates
 from .mesh import BackgroundMesh, FaceTable, build_background_mesh, \
     build_face_table
 from .pipeline import OfflineBundle, load_bundle, run_offline, run_online, \

@@ -11,6 +11,18 @@ different parameter values are directly comparable, which is what the
 hyper-reduction stage needs.  The pattern offsets of every element and
 ghost-facet block are computed once with the patterns, so an assembly makes
 values only and scatters them with ``np.bincount`` (adds in input order).
+
+Only the cut elements depend on the parameter.  The context computes once
+the values every element that can be active has when it is INSIDE (its
+diffusion block and the M, b and c values at its three midpoint-rule
+points, kept per point, not summed), and ``assemble`` clips and streams
+the cut elements only.  It merges both into the stream order of a pass
+over all active elements (ascending element, then diffusion, Nitsche,
+ghost).  A stream value is computed from its own element's data alone, so
+a cached value is the one such a pass makes; and since ``np.bincount``
+adds in stream order, every entry is bitwise that pass's.
+``assemble_component`` is that pass for one component, from scratch: the
+full assembly a DEIM reconstruction is timed against.
 """
 
 from __future__ import annotations
@@ -21,8 +33,10 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from . import levelset
 from .errors import NumericalError, PatternOverflowError
-from .levelset import CutGeometry, SubsetGeometry
+from .levelset import CUT, CutGeometry, SubsetGeometry, cut_candidates, \
+    inside_geometry, outside_elements
 from .mesh import BackgroundMesh, FaceTable, element_areas, p1_gradients
 
 Field = Callable[[np.ndarray], np.ndarray]
@@ -136,12 +150,32 @@ class ParametricOperators:
 
 @dataclass
 class _Streams:
-    """Contribution values of one assembly pass, in stream order."""
+    """Contribution values of one assembly pass, in stream order.
+
+    ``vals_a`` holds the diffusion, Nitsche and ghost blocks, ``vals_m`` a
+    block per interior point, and ``vec[comp]`` the (DOFs, values) parts of
+    b and c: the interior points' (k, 3) values, then the boundary terms.
+    """
 
     vals_a: np.ndarray
     vals_m: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    vec: dict
+    n: int
+
+    def vector(self, comp: str) -> np.ndarray:
+        """The b or c vector of the pass."""
+        return _scatter(self.vec[comp], self.n)
+
+
+def _scatter(parts, n: int) -> np.ndarray:
+    """Length-n sum of (DOFs, values) parts; ``np.bincount`` adds in input
+    order, like sequential scatter-adds."""
+    if not parts:
+        return np.zeros(n)
+    dofs, vals = zip(*parts)
+    return np.bincount(np.concatenate([d.ravel() for d in dofs]),
+                       np.concatenate([v.ravel() for v in vals]),
+                       minlength=n)
 
 
 class AssemblyContext:
@@ -161,6 +195,12 @@ class AssemblyContext:
     ``kept[component]`` holds these entries as ascending offsets into the
     component's values (pattern offsets for A and M, DOF ids for b and c);
     without a parameter range every DOF is kept.
+
+    For the elements that can be active (all without a range) the context
+    keeps the stream values they have when INSIDE (``_inside``, rows
+    found through ``_slot``), so ``assemble`` streams only the cut
+    elements; an active element outside that set (a parameter above the
+    declared range) raises ``PatternOverflowError``.
     """
 
     def __init__(self, mesh: BackgroundMesh, face_table: FaceTable,
@@ -186,7 +226,6 @@ class AssemblyContext:
         faces = np.flatnonzero(inter)
         reach = np.ones(mesh.n_elements, dtype=bool)
         if mu_range is not None:
-            from .levelset import cut_candidates, outside_elements
             cand = cut_candidates(mesh, mu_range[0], mu_range[1], center)
             faces = faces[cand[left[faces]] | cand[right[faces]]]
             reach = ~outside_elements(mesh, mu_range[1], center)
@@ -232,6 +271,17 @@ class AssemblyContext:
             self._kept_csr[comp] = (
                 cols[keep].astype(np.int32),
                 np.concatenate([[0], np.cumsum(counts)]).astype(np.int32))
+
+        # INSIDE stream values of the elements that can be active; _slot
+        # holds their row (-1 for the other elements)
+        reach = np.flatnonzero(reach)
+        self._slot = np.full(mesh.n_elements, -1)
+        self._slot[reach] = np.arange(reach.size)
+        self._coords = mesh.element_coords(reach)
+        st = self.streams(inside_geometry(reach, self._coords), ())
+        self._inside = {"A": st.vals_a.reshape(-1, 9),
+                        "M": st.vals_m.reshape(-1, 9),
+                        "b": st.vec["b"][0][1], "c": st.vec["c"][0][1]}
 
     def kept_matrix(self, component: str, values) -> sp.csr_matrix:
         """Ever-active block of the A or M component from its values at
@@ -284,13 +334,13 @@ class AssemblyContext:
                 "qid,qd->qi", grads[sub.iq_parent],
                 sub.iq_points - cent[sub.iq_parent])
             wl = sub.iq_weights[:, None] * lam_i
-            iq_dofs = dofs[sub.iq_parent].ravel()
+            iq_dofs = dofs[sub.iq_parent]
             if "M" in need:
                 vals_m = np.einsum("qi,qj->qij", wl, lam_i).ravel()
             for comp, field in (("b", case.y_d), ("c", case.f)):
                 if comp in need:
-                    vec[comp].append((iq_dofs, (
-                        wl * field(sub.iq_points)[:, None]).ravel()))
+                    vec[comp].append((iq_dofs,
+                                      wl * field(sub.iq_points)[:, None]))
 
         boundary_needed = ("A" in need) or \
             ("c" in need and case.g_D is not None)
@@ -310,59 +360,113 @@ class AssemblyContext:
             if "c" in need and case.g_D is not None:
                 gd = case.g_D(sub.bq_points)
                 data = (sub.bq_weights * gd)[:, None] * (gdh * lam_b + dn)
-                vec["c"].append((dofs[bp].ravel(), data.ravel()))
+                vec["c"].append((dofs[bp], data))
 
         if "A" in need and len(ghost_facets):
             vals_a.append(self.ghost_blocks(ghost_facets).ravel())
 
-        # np.bincount adds in input order, like sequential scatter-adds
-        b, c = (np.bincount(*map(np.concatenate, zip(*vec[k])), minlength=n)
-                if vec[k] else np.zeros(n) for k in ("b", "c"))
-        return _Streams(np.concatenate(vals_a), vals_m, b, c)
-
-    def _values(self, component: str, sub: SubsetGeometry, ghost_facets,
-                st: _Streams) -> np.ndarray:
-        """Pattern values of the A or M stream; raises on a ghost facet
-        outside the pattern (a parameter outside the declared range)."""
-        elem = self.elem_offsets[component][sub.elems]
-        if component == "M":
-            return np.bincount(elem[sub.iq_parent].ravel(), st.vals_m,
-                               minlength=self.pattern_M.nnz)
-        ghost = self.ghost_offsets(ghost_facets)
-        outside = np.asarray(ghost_facets)[ghost[:, 0] == self.pattern_A.nnz]
-        if outside.size:
-            raise PatternOverflowError(
-                f"ghost facet {int(outside[0])} outside union pattern")
-        offsets = np.concatenate([elem.ravel(), elem[sub.bq_parent].ravel(),
-                                  ghost.ravel()])
-        return np.bincount(offsets, st.vals_a, minlength=self.pattern_A.nnz)
-
-    def assemble_component(self, geom: CutGeometry, component: str):
-        """Full assembly of one component only (timing baseline)."""
-        sub = geom.active
-        st = self.streams(sub, geom.ghost_facets,
-                          need=frozenset((component,)))
-        if component in ("b", "c"):
-            return getattr(st, component)
-        pattern = self.pattern_A if component == "A" else self.pattern_M
-        return pattern.csr_with_values(
-            self._values(component, sub, geom.ghost_facets, st))
+        return _Streams(np.concatenate(vals_a), vals_m, vec, n)
 
     # -- full assembly ---------------------------------------------------
+    def _ghost_offsets(self, geom: CutGeometry) -> np.ndarray:
+        """Offsets of the ghost blocks; raises on a facet outside the
+        pattern (a parameter outside the declared range)."""
+        ghost = self.ghost_offsets(geom.ghost_facets)
+        outside = geom.ghost_facets[ghost[:, 0] == self.pattern_A.nnz]
+        if outside.size:
+            raise PatternOverflowError(
+                f"ghost facet {int(outside[0])} at mu={geom.levelset.mu}"
+                " outside union pattern")
+        return ghost
+
+    def assemble_component(self, geom: CutGeometry, component: str):
+        """One component assembled from scratch: every active element
+        clipped and streamed, no precomputed INSIDE values.
+
+        This is the full assembly that a DEIM reconstruction is timed
+        against (acceptance criterion 8 and the timing report), and its
+        values are bitwise those of ``assemble``.
+        """
+        sub = geom.active
+        st = self.streams(sub, geom.ghost_facets, frozenset((component,)))
+        if component in ("b", "c"):
+            return st.vector(component)
+        elem = self.elem_offsets[component][sub.elems]
+        if component == "M":
+            return self.pattern_M.csr_with_values(np.bincount(
+                elem[sub.iq_parent].ravel(), st.vals_m,
+                minlength=self.pattern_M.nnz))
+        offsets = np.concatenate([elem.ravel(), elem[sub.bq_parent].ravel(),
+                                  self._ghost_offsets(geom).ravel()])
+        return self.pattern_A.csr_with_values(np.bincount(
+            offsets, st.vals_a, minlength=self.pattern_A.nnz))
+
     def assemble(self, geom: CutGeometry) -> ParametricOperators:
-        if geom.active_elements.size == 0:
+        """All operators: the cached INSIDE values merged with the streams
+        of the cut elements.
+
+        Raises ``PatternOverflowError`` on an active element or a ghost
+        facet the context has no values or offsets for (a parameter
+        outside the declared range).
+        """
+        active = geom.active_elements
+        if active.size == 0:
             raise NumericalError(
                 f"empty active mesh at mu={geom.levelset.mu}")
-        sub = geom.active
+        slot = self._slot[active]
+        if slot.min() < 0:
+            raise PatternOverflowError(
+                f"active element {int(active[np.argmin(slot)])} at "
+                f"mu={geom.levelset.mu} outside the elements of "
+                f"mu_range={self.mu_range}")
+        cut = geom.classification[active] == CUT
+        # through the module, so that a traced subset_geometry is seen
+        sub = levelset.subset_geometry(self.mesh, geom.levelset,
+                                       geom.cut_elements,
+                                       coords=self._coords[slot[cut]])
         st = self.streams(sub, geom.ghost_facets)
-        a_values = self._values("A", sub, geom.ghost_facets, st)
-        m_values = self._values("M", sub, geom.ghost_facets, st)
+
+        # merged streams take their rows from the cached INSIDE rows
+        # followed by the cut elements' rows; per element for A, per
+        # interior point (three per INSIDE element) for M, b and c
+        n_rows = self._inside["A"].shape[0]
+        elem_rows = slot.copy()
+        elem_rows[cut] = n_rows + np.arange(sub.elems.size)
+        n_pts = np.full(active.size, 3)
+        n_pts[cut] = np.bincount(sub.iq_parent, minlength=sub.elems.size)
+        at_cut = np.repeat(cut, n_pts)
+        pt_rows = np.empty(at_cut.size, dtype=np.int64)
+        pt_rows[~at_cut] = (3 * slot[~cut, None] + np.arange(3)).ravel()
+        pt_rows[at_cut] = 3 * n_rows + np.arange(sub.iq_parent.size)
+        parent = np.repeat(active, n_pts)
+
+        def merged(comp, cut_rows, rows):
+            return np.take(np.concatenate([self._inside[comp], cut_rows]),
+                           rows, axis=0).ravel()
+
+        elem = self.elem_offsets["A"]
+        n_cut = 9 * sub.elems.size
+        a_values = np.bincount(
+            np.concatenate([np.take(elem, active, axis=0).ravel(),
+                            elem[sub.elems[sub.bq_parent]].ravel(),
+                            self._ghost_offsets(geom).ravel()]),
+            np.concatenate([
+                merged("A", st.vals_a[:n_cut].reshape(-1, 9), elem_rows),
+                st.vals_a[n_cut:]]),
+            minlength=self.pattern_A.nnz)
+        m_values = np.bincount(
+            np.take(self.elem_offsets["M"], parent, axis=0).ravel(),
+            merged("M", st.vals_m.reshape(-1, 9), pt_rows),
+            minlength=self.pattern_M.nnz)
+        dofs = np.take(self.mesh.elements, parent, axis=0)
+        b, c = (_scatter([(dofs, merged(comp, st.vec[comp][0][1], pt_rows)),
+                          *st.vec[comp][1:]], self.mesh.dof_count)
+                for comp in ("b", "c"))
         return ParametricOperators(
             mu=geom.levelset.mu,
             A=self.pattern_A.csr_with_values(a_values),
             M=self.pattern_M.csr_with_values(m_values),
-            b=st.b, c=st.c,
-            active_dofs=geom.active_dofs,
+            b=b, c=c, active_dofs=geom.active_dofs,
             a_values=a_values, m_values=m_values)
 
 

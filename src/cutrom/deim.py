@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import AssemblyContext, SparsityPattern
 from .errors import NumericalError
-from .levelset import CUT, OUTSIDE, LevelSetSquare, subset_geometry
+from .levelset import GHOST_PAIR, LevelSetSquare, subset_geometry
 from .mesh import BackgroundMesh, FaceTable, vertex_to_elements
 
 COMPONENTS = ("A", "M", "b", "c")
@@ -229,6 +231,23 @@ class DeimModel:
         full[self.rows] = values
         return full
 
+    @cached_property
+    def _rows_csr(self):
+        """Column indices and row pointers of the pattern entries at
+        ``rows``."""
+        pattern = self.pattern
+        counts = np.bincount(pattern.rows[self.rows], minlength=pattern.n)
+        return (pattern.indices[self.rows],
+                np.concatenate([[0], np.cumsum(counts)]).astype(np.int32))
+
+    def matrix(self, values: np.ndarray) -> sp.csr_matrix:
+        """The operator with ``values`` at ``rows``, storing those entries
+        only: the other pattern entries are zero for every parameter of
+        the range."""
+        indices, indptr = self._rows_csr
+        n = self.pattern.n
+        return sp.csr_matrix((values, indices, indptr), shape=(n, n))
+
 
 def make_deim_model(U: np.ndarray, eigenvalues: np.ndarray, m: int,
                     component: str, pattern: Optional[SparsityPattern],
@@ -305,15 +324,16 @@ class PartialAssembler:
         """
         ctx = self.ctx
         sub = subset_geometry(ctx.mesh, LevelSetSquare(mu, ctx.center),
-                              self.elems, coords=self.coords)
+                              self.elems, coords=self.coords,
+                              interior=bool(self.need & {"M", "b", "c"}))
         cls = sub.classification[self.sides]
-        ghost = np.all(cls != OUTSIDE, axis=0) & np.any(cls == CUT, axis=0)
+        ghost = GHOST_PAIR[3 * cls[0] + cls[1]]
         st = ctx.streams(sub, self.facets[ghost], need=self.need)
         theta = np.empty(self.offsets[-1])
         for model, slots, lo, hi in zip(self.models, self.slots,
                                         self.offsets, self.offsets[1:]):
             if model.component in ("b", "c"):
-                theta[lo:hi] = getattr(st, model.component)[slots]
+                theta[lo:hi] = st.vector(model.component)[slots]
                 continue
             elem, facet = slots
             if model.component == "A":
@@ -334,12 +354,12 @@ class PartialAssembler:
 
     def reconstruct(self, mu: float):
         """Full interpolatory reconstruction of a one-model assembler: a
-        matrix on the full pattern or a full-length vector."""
+        matrix storing the model's kept entries, or a full-length vector."""
         (model,) = self.models
-        values = self.projector_apply(self.theta(mu))
+        theta = self.theta(mu)
         if model.pattern is None:
-            return values
-        return model.pattern.csr_with_values(values)
+            return self.projector_apply(theta)
+        return model.matrix(model.projector @ theta)
 
     def projector_apply(self, theta: np.ndarray) -> np.ndarray:
         """Full pattern values (or DOF vector) interpolated from theta."""

@@ -10,11 +10,20 @@ negative inside, zero on the boundary.  Geometry is approximated per
 element by the linear interpolant of the vertex values of phi: elements are
 classified by vertex signs, cut elements are clipped against the
 interpolant's zero line, and the boundary rule lives on that chord.
+
+``classify_elements`` makes one sign pass over the whole mesh and builds no
+quadrature: a truth assembly clips only the cut elements and takes the
+INSIDE elements' contributions from its context, so the active-set
+quadrature (``CutGeometry.active``) is built on first read only, for
+checks such as the area and perimeter consistency.  An element's
+quadrature depends on its own vertex values only, so it comes out bitwise
+the same in any subset pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +37,7 @@ CUT = np.int8(2)
 # exact zeros, so crossings snap to vertices instead of creating slivers
 SNAP_REL = 1e-12
 
-_GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+_GAUSS2 = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
 
 @dataclass(frozen=True)
@@ -45,17 +54,17 @@ class LevelSetSquare:
         return ax + ay + np.abs(ax - ay) - 2.0 * self.mu
 
 
-def eval_levelset(ls: LevelSetSquare, point) -> float | np.ndarray:
-    """Evaluate the level-set; negative inside, zero on the boundary."""
-    out = ls(point)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def snap_values(vals: np.ndarray) -> np.ndarray:
-    """Zero out vertex values indistinguishable from the boundary."""
+    """Zero out vertex values indistinguishable from the boundary.
+
+    The last axis holds an element's three vertex values; their local
+    scale is the largest magnitude, and at least 1.
+    """
     vals = np.array(vals, dtype=float, copy=True)
-    scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1, keepdims=True))
-    vals[np.abs(vals) < SNAP_REL * scale] = 0.0
+    mag = np.abs(vals)
+    scale = np.maximum(np.maximum(mag[..., 0], mag[..., 1]),
+                       np.maximum(mag[..., 2], 1.0))
+    vals[mag < SNAP_REL * scale[..., None]] = 0.0
     return vals
 
 
@@ -123,47 +132,10 @@ def _midpoint_rule(tris: np.ndarray):
 
 def _segment_rule(a: np.ndarray, b: np.ndarray):
     """2-point Gauss points and weights on segments a->b, shapes (n, 2)."""
-    pts = np.empty((a.shape[0], 2, 2))
-    for k, t in enumerate(_GAUSS2):
-        pts[:, k] = a + t * (b - a)
-    length = np.hypot(*(b - a).T)
-    w = np.repeat(0.5 * length, 2)
+    d = b - a
+    pts = a[:, None] + _GAUSS2[:, None] * d[:, None]
+    w = np.repeat(0.5 * np.hypot(d[:, 0], d[:, 1]), 2)
     return pts.reshape(-1, 2), w
-
-
-def interior_quadrature(coords, vals):
-    """Quadrature (points, weights) for {interpolant < 0} on one triangle.
-
-    Full degree-2 rule for uncut triangles; on cut triangles the clipped
-    sub-polygon is fan-triangulated and the rule applied per piece.  Weights
-    sum to the clipped area exactly.
-    """
-    coords = np.asarray(coords, dtype=float)
-    vals = snap_values(np.asarray(vals, dtype=float))
-    subs, _ = _clip_polygon(coords, vals)
-    if not subs:
-        return np.zeros((0, 2)), np.zeros(0)
-    pts, w = _midpoint_rule(np.asarray(subs))
-    keep = np.repeat([abs(_tri_area(*s)) > 0.0 for s in subs], 3)
-    return pts[keep], w[keep]
-
-
-def boundary_quadrature(coords, vals):
-    """2-point Gauss rule (points, weights, normals) on the zero-line chord.
-
-    Empty when the chord is degenerate.  The normal is the normalized
-    interpolant gradient, which points out of the negative region.
-    """
-    coords = np.asarray(coords, dtype=float)
-    vals = snap_values(np.asarray(vals, dtype=float))
-    _, chord = _clip_polygon(coords, vals)
-    if chord is None:
-        return np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2))
-    a, b = chord
-    pts, w = _segment_rule(a[None, :], b[None, :])
-    g = _interpolant_gradients(coords[None], vals[None])[0]
-    n = g / np.linalg.norm(g)
-    return pts, w, np.broadcast_to(n, (2, 2)).copy()
 
 
 def _interpolant_gradients(coords: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -197,14 +169,44 @@ class SubsetGeometry:
     bq_normals: np.ndarray        # (nb, 2)
 
 
+def inside_geometry(elems: np.ndarray, coords: np.ndarray) -> SubsetGeometry:
+    """Quadrature of the given elements as INSIDE elements: the whole
+    triangle's rule, as ``subset_geometry`` builds it, and no boundary."""
+    pts, w = _midpoint_rule(coords)
+    d1 = coords[:, 1] - coords[:, 0]
+    d2 = coords[:, 2] - coords[:, 0]
+    area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    k = elems.size
+    return SubsetGeometry(
+        elems=elems, classification=np.full(k, INSIDE), clipped_area=area,
+        iq_parent=np.repeat(np.arange(k), 3), iq_points=pts, iq_weights=w,
+        bq_parent=np.zeros(0, dtype=np.int64), bq_points=np.zeros((0, 2)),
+        bq_weights=np.zeros(0), bq_normals=np.zeros((0, 2)))
+
+
+# an element's vertex order rotated to start at vertex 0, 1 or 2
+_ROTATE = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+# sub-triangles as rows into (apex, next, last, p_next, p_last), where
+# p_next and p_last are the crossings on the edges from the apex: the
+# whole triangle, the corner cut off at a lone negative apex, and the two
+# triangles of the quadrilateral left by a lone positive apex
+_SUB_VERTICES = np.array([[0, 1, 2], [0, 3, 4], [3, 1, 2], [3, 2, 4]])
+# the sub-triangles of an INSIDE element, a lone negative apex and a lone
+# positive one (-1: none)
+_CASE_SUBS = np.array([[0, -1], [1, -1], [2, 3]])
+
+
 def subset_geometry(mesh: BackgroundMesh, ls, elems,
-                    coords: np.ndarray | None = None) -> SubsetGeometry:
+                    coords: np.ndarray | None = None,
+                    interior: bool = True) -> SubsetGeometry:
     """Classify and build quadratures for the given elements only.
 
-    Vectorized over the generic sign patterns; the rare configurations with
-    exact zero vertex values fall back to the scalar clipper.  ``coords``
-    may pass precomputed element vertex coordinates for the same (sorted)
-    element list.
+    Vectorized over INSIDE elements and the generic sign patterns of cut
+    ones; the rare configurations with exact zero vertex values fall back
+    to the scalar clipper.  ``coords`` may pass precomputed element vertex
+    coordinates for the same (sorted) element list.  ``interior=False``
+    leaves the interior rule empty (the clipped areas and the boundary
+    rule are all a stiffness matrix needs).
     """
     elems = np.sort(np.asarray(elems, dtype=np.int64))
     if coords is None:
@@ -212,88 +214,55 @@ def subset_geometry(mesh: BackgroundMesh, ls, elems,
     vals = snap_values(ls(coords.reshape(-1, 2)).reshape(-1, 3))
 
     neg = vals < 0.0
-    pos = vals > 0.0
-    zero = vals == 0.0
     nneg = neg.sum(axis=1)
-    npos = pos.sum(axis=1)
-    nzero = zero.sum(axis=1)
-
+    npos = (vals > 0.0).sum(axis=1)
     cls = np.full(elems.shape[0], CUT, dtype=np.int8)
     cls[nneg == 3] = INSIDE
     cls[npos == 3] = OUTSIDE
+    has_zero = (vals == 0.0).any(axis=1)
+    generic = (cls == CUT) & ~has_zero
 
-    clipped = np.zeros(elems.shape[0])
-    iq_parent: list[np.ndarray] = []
-    iq_points: list[np.ndarray] = []
-    iq_weights: list[np.ndarray] = []
-    bq_parent: list[np.ndarray] = []
-    bq_points: list[np.ndarray] = []
-    bq_weights: list[np.ndarray] = []
-    bq_normals: list[np.ndarray] = []
+    # INSIDE and generic cut elements, their vertices rotated to start at
+    # the lone vertex of a cut one (the negative one when it is alone);
+    # INSIDE ones keep their order
+    clip = np.flatnonzero((cls == INSIDE) | generic)
+    one_neg = nneg[clip] == 1
+    rot = _ROTATE[np.argmax(neg[clip] == one_neg[:, None], axis=1)]
+    tri = coords[clip[:, None], rot]                        # (c, 3, 2)
+    f = vals[clip[:, None], rot]
+    cut = np.flatnonzero(generic[clip])
+    fa = f[cut, :1]
+    apex = tri[cut, :1]
+    crossing = apex + (fa / (fa - f[cut, 1:]))[:, :, None] \
+        * (tri[cut, 1:] - apex)                             # (g, 2, 2)
+    points = np.empty((clip.size, 5, 2))
+    points[:, :3] = tri
+    points[cut, 3:] = crossing
 
-    inside_idx = np.flatnonzero(cls == INSIDE)
-    if inside_idx.size:
-        tris = coords[inside_idx]
-        pts, w = _midpoint_rule(tris)
-        iq_parent.append(np.repeat(inside_idx, 3))
-        iq_points.append(pts)
-        iq_weights.append(w)
-        d1 = tris[:, 1] - tris[:, 0]
-        d2 = tris[:, 2] - tris[:, 0]
-        clipped[inside_idx] = 0.5 * np.abs(d1[:, 0] * d2[:, 1]
-                                           - d1[:, 1] * d2[:, 0])
+    # sub-triangles in ascending element order
+    case = np.zeros(clip.size, dtype=np.int64)
+    case[cut] = 2 - one_neg[cut]
+    sub_case = _CASE_SUBS[case]
+    sub_of = np.nonzero(sub_case >= 0)[0]
+    subs = points[sub_of[:, None], _SUB_VERTICES[sub_case[sub_case >= 0]]]
+    parents = clip[sub_of]
+    # bincount adds in input order (and gives integers when empty)
+    clipped = np.bincount(
+        parents, 0.5 * np.abs((subs[:, 1, 0] - subs[:, 0, 0])
+                              * (subs[:, 2, 1] - subs[:, 0, 1])
+                              - (subs[:, 2, 0] - subs[:, 0, 0])
+                              * (subs[:, 1, 1] - subs[:, 0, 1])),
+        minlength=elems.size).astype(float, copy=False)
 
-    generic = np.flatnonzero((cls == CUT) & (nzero == 0))
-    if generic.size:
-        gcoords = coords[generic]
-        gvals = vals[generic]
-        one_neg = nneg[generic] == 1
-        apex = np.where(one_neg,
-                        np.argmax(gvals < 0.0, axis=1),
-                        np.argmax(gvals > 0.0, axis=1))
-        ia, ib, ic = apex, (apex + 1) % 3, (apex + 2) % 3
-        rows = np.arange(generic.size)
-        A = gcoords[rows, ia]
-        B = gcoords[rows, ib]
-        C = gcoords[rows, ic]
-        fa = gvals[rows, ia]
-        fb = gvals[rows, ib]
-        fc = gvals[rows, ic]
-        pab = A + (fa / (fa - fb))[:, None] * (B - A)
-        pac = A + (fa / (fa - fc))[:, None] * (C - A)
+    bq_elems = clip[cut]
+    spts, sw = _segment_rule(crossing[:, 0], crossing[:, 1])
+    grad = _interpolant_gradients(coords[bq_elems], vals[bq_elems])
+    nrm = grad / np.linalg.norm(grad, axis=1, keepdims=True)
+    iq = [(np.repeat(parents, 3), *_midpoint_rule(subs))] if interior \
+        else [(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros(0))]
+    bq = [(np.repeat(bq_elems, 2), spts, sw, np.repeat(nrm, 2, axis=0))]
 
-        corner = np.stack([A, pab, pac], axis=1)            # one_neg case
-        quad1 = np.stack([pab, B, C], axis=1)               # two_neg case
-        quad2 = np.stack([pab, C, pac], axis=1)
-        two = ~one_neg
-        subs = np.concatenate([corner[one_neg], quad1[two], quad2[two]])
-        parents = np.concatenate([generic[one_neg], generic[two],
-                                  generic[two]])
-        order = np.argsort(parents, kind="stable")
-        subs = subs[order]
-        parents = parents[order]
-
-        pts, w = _midpoint_rule(subs)
-        iq_parent.append(np.repeat(parents, 3))
-        iq_points.append(pts)
-        iq_weights.append(w)
-        # zero at the generic elements so far; bincount adds in input order
-        clipped += np.bincount(
-            parents, 0.5 * np.abs((subs[:, 1, 0] - subs[:, 0, 0])
-                                  * (subs[:, 2, 1] - subs[:, 0, 1])
-                                  - (subs[:, 2, 0] - subs[:, 0, 0])
-                                  * (subs[:, 1, 1] - subs[:, 0, 1])),
-            minlength=clipped.size)
-
-        spts, sw = _segment_rule(pab, pac)
-        grad = _interpolant_gradients(gcoords, gvals)
-        nrm = grad / np.linalg.norm(grad, axis=1, keepdims=True)
-        bq_parent.append(np.repeat(generic, 2))
-        bq_points.append(spts)
-        bq_weights.append(sw)
-        bq_normals.append(np.repeat(nrm, 2, axis=0))
-
-    special = np.flatnonzero((cls == CUT) & (nzero > 0))
+    special = np.flatnonzero((cls == CUT) & has_zero)
     for li in special:
         subs, chord = _clip_polygon(coords[li], vals[li])
         if subs:
@@ -302,52 +271,39 @@ def subset_geometry(mesh: BackgroundMesh, ls, elems,
             tris = tris[good]
             if tris.size:
                 pts, w = _midpoint_rule(tris)
-                iq_parent.append(np.full(pts.shape[0], li, dtype=np.int64))
-                iq_points.append(pts)
-                iq_weights.append(w)
+                if interior:
+                    iq.append((np.full(pts.shape[0], li, dtype=np.int64),
+                               pts, w))
                 clipped[li] = np.sum(w)
         if chord is not None and (vals[li] < 0.0).any():
             a, b = chord
             spts, sw = _segment_rule(a[None], b[None])
             g = _interpolant_gradients(coords[li][None], vals[li][None])[0]
             nn = g / np.linalg.norm(g)
-            bq_parent.append(np.full(2, li, dtype=np.int64))
-            bq_points.append(spts)
-            bq_weights.append(sw)
-            bq_normals.append(np.broadcast_to(nn, (2, 2)).copy())
+            bq.append((np.full(2, li, dtype=np.int64), spts, sw,
+                       np.broadcast_to(nn, (2, 2)).copy()))
 
-    def _cat(parts, shape):
-        return (np.concatenate(parts) if parts
-                else np.zeros(shape))
+    def by_parent(parts):
+        """Concatenated parts, stably sorted by parent when the scalar
+        clipper added any."""
+        cols = [np.concatenate(c) for c in zip(*parts)]
+        if len(parts) > 1:
+            order = np.argsort(cols[0], kind="stable")
+            cols = [c[order] for c in cols]
+        return cols
 
-    geo = SubsetGeometry(
-        elems=elems,
-        classification=cls,
-        clipped_area=clipped,
-        iq_parent=_cat(iq_parent, (0,)).astype(np.int64),
-        iq_points=_cat(iq_points, (0, 2)),
-        iq_weights=_cat(iq_weights, (0,)),
-        bq_parent=_cat(bq_parent, (0,)).astype(np.int64),
-        bq_points=_cat(bq_points, (0, 2)),
-        bq_weights=_cat(bq_weights, (0,)),
-        bq_normals=_cat(bq_normals, (0, 2)),
-    )
-    # deterministic global ordering: interior/boundary points sorted by parent
-    io = np.argsort(geo.iq_parent, kind="stable")
-    geo.iq_parent = geo.iq_parent[io]
-    geo.iq_points = geo.iq_points[io]
-    geo.iq_weights = geo.iq_weights[io]
-    bo = np.argsort(geo.bq_parent, kind="stable")
-    geo.bq_parent = geo.bq_parent[bo]
-    geo.bq_points = geo.bq_points[bo]
-    geo.bq_weights = geo.bq_weights[bo]
-    geo.bq_normals = geo.bq_normals[bo]
-    return geo
+    iq_parent, iq_points, iq_weights = by_parent(iq)
+    bq_parent, bq_points, bq_weights, bq_normals = by_parent(bq)
+    return SubsetGeometry(
+        elems=elems, classification=cls, clipped_area=clipped,
+        iq_parent=iq_parent, iq_points=iq_points, iq_weights=iq_weights,
+        bq_parent=bq_parent, bq_points=bq_points, bq_weights=bq_weights,
+        bq_normals=bq_normals)
 
 
 @dataclass
 class CutGeometry:
-    """Full-mesh classification, cut quadratures and ghost facet set."""
+    """Full-mesh classification and ghost facet set of one parameter."""
 
     mesh: BackgroundMesh
     face_table: FaceTable
@@ -357,7 +313,11 @@ class CutGeometry:
     cut_elements: np.ndarray
     active_dofs: np.ndarray        # ascending DOF ids of active elements
     ghost_facets: np.ndarray       # face indices
-    active: SubsetGeometry         # quadrature data over active_elements
+
+    @cached_property
+    def active(self) -> SubsetGeometry:
+        """Quadrature data over ``active_elements``, built on first read."""
+        return subset_geometry(self.mesh, self.levelset, self.active_elements)
 
     @property
     def interior_weight_sum(self) -> float:
@@ -368,34 +328,38 @@ class CutGeometry:
         return float(np.sum(self.active.bq_weights))
 
 
+# ghost facet per (left, right) class pair, indexed by 3 * left + right
+GHOST_PAIR = np.zeros(9, dtype=bool)
+GHOST_PAIR[[3 * INSIDE + CUT, 3 * CUT + INSIDE, 3 * CUT + CUT]] = True
+
+
 def classify_elements(mesh: BackgroundMesh, face_table: FaceTable,
                       ls: LevelSetSquare) -> CutGeometry:
     """Tag all elements against the level-set and collect ghost facets.
 
     Ghost facets are the interior faces with both incident elements active
     and at least one of them cut; faces on the boundary of the active
-    submesh (and of the box) are excluded.
+    submesh (and of the box) are excluded.  No quadrature is built.
     """
     vals = snap_values(ls(mesh.vertices)[mesh.elements])
-    nneg = (vals < 0.0).sum(axis=1)
-    npos = (vals > 0.0).sum(axis=1)
-    cls = np.full(mesh.n_elements, CUT, dtype=np.int8)
-    cls[nneg == 3] = INSIDE
-    cls[npos == 3] = OUTSIDE
+    neg = vals < 0.0
+    pos = vals > 0.0
+    cls = np.full(mesh.n_elements + 1, CUT, dtype=np.int8)
+    cls[:-1][neg[:, 0] & neg[:, 1] & neg[:, 2]] = INSIDE
+    cls[:-1][pos[:, 0] & pos[:, 1] & pos[:, 2]] = OUTSIDE
+    # the extra last entry stands for the missing neighbour (index -1) of
+    # a box boundary face
+    cls[-1] = OUTSIDE
 
+    ghost = np.flatnonzero(GHOST_PAIR[3 * cls[face_table.face_left]
+                                       + cls[face_table.face_right]])
+    cls = cls[:-1]
     active_elements = np.flatnonzero(cls != OUTSIDE)
     cut_elements = np.flatnonzero(cls == CUT)
-    active_dofs = np.unique(mesh.elements[active_elements])
-
-    interior = face_table.face_right >= 0
-    cl = cls[face_table.face_left]
-    cr = np.where(interior, cls[np.maximum(face_table.face_right, 0)], OUTSIDE)
-    both_active = interior & (cl != OUTSIDE) & (cr != OUTSIDE)
-    ghost = np.flatnonzero(both_active & ((cl == CUT) | (cr == CUT)))
-
-    active = subset_geometry(mesh, ls, active_elements)
+    mark = np.zeros(mesh.dof_count, dtype=bool)
+    mark[mesh.elements[active_elements]] = True
     return CutGeometry(mesh, face_table, ls, cls, active_elements,
-                       cut_elements, active_dofs, ghost, active)
+                       cut_elements, np.flatnonzero(mark), ghost)
 
 
 def cut_candidates(mesh: BackgroundMesh, mu_min: float, mu_max: float,

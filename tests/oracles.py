@@ -6,6 +6,59 @@ import scipy.sparse.linalg as spla
 
 from cutrom import AggregatedBasis, AssemblyContext, ParametricOperators
 from cutrom.errors import PatternOverflowError
+from cutrom.levelset import CUT, INSIDE, OUTSIDE, SNAP_REL, LevelSetSquare, \
+    SubsetGeometry, _clip_polygon, _interpolant_gradients, _midpoint_rule, \
+    _segment_rule, _tri_area, snap_values
+
+
+def eval_levelset(ls: LevelSetSquare, point) -> float | np.ndarray:
+    """Evaluate the level-set; negative inside, zero on the boundary."""
+    out = ls(point)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def reduced_snap_values(vals) -> np.ndarray:
+    """``snap_values`` with the local scale as a reduction over the last
+    axis."""
+    vals = np.array(vals, dtype=float, copy=True)
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1, keepdims=True))
+    vals[np.abs(vals) < SNAP_REL * scale] = 0.0
+    return vals
+
+
+def interior_quadrature(coords, vals):
+    """Quadrature (points, weights) for {interpolant < 0} on one triangle.
+
+    Full degree-2 rule for uncut triangles; on cut triangles the clipped
+    sub-polygon is fan-triangulated and the rule applied per piece.  Weights
+    sum to the clipped area exactly.
+    """
+    coords = np.asarray(coords, dtype=float)
+    vals = snap_values(np.asarray(vals, dtype=float))
+    subs, _ = _clip_polygon(coords, vals)
+    if not subs:
+        return np.zeros((0, 2)), np.zeros(0)
+    pts, w = _midpoint_rule(np.asarray(subs))
+    keep = np.repeat([abs(_tri_area(*s)) > 0.0 for s in subs], 3)
+    return pts[keep], w[keep]
+
+
+def boundary_quadrature(coords, vals):
+    """2-point Gauss rule (points, weights, normals) on the zero-line chord.
+
+    Empty when the chord is degenerate.  The normal is the normalized
+    interpolant gradient, which points out of the negative region.
+    """
+    coords = np.asarray(coords, dtype=float)
+    vals = snap_values(np.asarray(vals, dtype=float))
+    _, chord = _clip_polygon(coords, vals)
+    if chord is None:
+        return np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2))
+    a, b = chord
+    pts, w = _segment_rule(a[None, :], b[None, :])
+    g = _interpolant_gradients(coords[None], vals[None])[0]
+    n = g / np.linalg.norm(g)
+    return pts, w, np.broadcast_to(n, (2, 2)).copy()
 
 
 def full_rows(basis: AggregatedBasis, V: np.ndarray) -> np.ndarray:
@@ -148,6 +201,116 @@ def coo_streams(ctx: AssemblyContext, sub, ghost_facets,
     return {"A": (cat(rows_a, np.int64), cat(cols_a, np.int64),
                   cat(vals_a, float)),
             "M": (rows_m, cols_m, vals_m), "b": b, "c": c}
+
+
+def _segment_rule_loop(a, b):
+    """2-point Gauss rule on segments a->b, one Gauss point at a time."""
+    pts = np.empty((a.shape[0], 2, 2))
+    gauss = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+    for k, t in enumerate(gauss):
+        pts[:, k] = a + t * (b - a)
+    return pts.reshape(-1, 2), np.repeat(0.5 * np.hypot(*(b - a).T), 2)
+
+
+def reference_subset_geometry(mesh, ls, elems) -> SubsetGeometry:
+    """``subset_geometry`` in its earlier form: INSIDE elements, generic cut
+    elements (corner, then the two quadrilateral halves, by sign case) and
+    scalar-clipped ones built apart, then stably sorted by parent."""
+    elems = np.sort(np.asarray(elems, dtype=np.int64))
+    coords = mesh.element_coords(elems)
+    vals = snap_values(ls(coords.reshape(-1, 2)).reshape(-1, 3))
+    nneg = (vals < 0.0).sum(axis=1)
+    nzero = (vals == 0.0).sum(axis=1)
+    cls = np.full(elems.shape[0], CUT, dtype=np.int8)
+    cls[nneg == 3] = INSIDE
+    cls[(vals > 0.0).sum(axis=1) == 3] = OUTSIDE
+    clipped = np.zeros(elems.shape[0])
+    iq, bq = [], []
+
+    inside = np.flatnonzero(cls == INSIDE)
+    tris = coords[inside]
+    pts, w = _midpoint_rule(tris)
+    iq.append((np.repeat(inside, 3), pts, w))
+    d1 = tris[:, 1] - tris[:, 0]
+    d2 = tris[:, 2] - tris[:, 0]
+    clipped[inside] = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+    generic = np.flatnonzero((cls == CUT) & (nzero == 0))
+    gcoords, gvals = coords[generic], vals[generic]
+    one_neg = nneg[generic] == 1
+    ia = np.where(one_neg, np.argmax(gvals < 0.0, axis=1),
+                  np.argmax(gvals > 0.0, axis=1))
+    ib, ic = (ia + 1) % 3, (ia + 2) % 3
+    rows = np.arange(generic.size)
+    A, B, C = gcoords[rows, ia], gcoords[rows, ib], gcoords[rows, ic]
+    fa, fb, fc = gvals[rows, ia], gvals[rows, ib], gvals[rows, ic]
+    pab = A + (fa / (fa - fb))[:, None] * (B - A)
+    pac = A + (fa / (fa - fc))[:, None] * (C - A)
+    two = ~one_neg
+    subs = np.concatenate([np.stack([A, pab, pac], axis=1)[one_neg],
+                           np.stack([pab, B, C], axis=1)[two],
+                           np.stack([pab, C, pac], axis=1)[two]])
+    parents = np.concatenate([generic[one_neg], generic[two], generic[two]])
+    order = np.argsort(parents, kind="stable")
+    subs, parents = subs[order], parents[order]
+    pts, w = _midpoint_rule(subs)
+    iq.append((np.repeat(parents, 3), pts, w))
+    clipped += np.bincount(
+        parents, 0.5 * np.abs((subs[:, 1, 0] - subs[:, 0, 0])
+                              * (subs[:, 2, 1] - subs[:, 0, 1])
+                              - (subs[:, 2, 0] - subs[:, 0, 0])
+                              * (subs[:, 1, 1] - subs[:, 0, 1])),
+        minlength=clipped.size)
+    spts, sw = _segment_rule_loop(pab, pac)
+    grad = _interpolant_gradients(gcoords, gvals)
+    nrm = grad / np.linalg.norm(grad, axis=1, keepdims=True)
+    bq.append((np.repeat(generic, 2), spts, sw, np.repeat(nrm, 2, axis=0)))
+
+    for li in np.flatnonzero((cls == CUT) & (nzero > 0)):
+        subs, chord = _clip_polygon(coords[li], vals[li])
+        tris = np.asarray([s for s in subs if abs(_tri_area(*s)) > 0.0])
+        if tris.size:
+            pts, w = _midpoint_rule(tris)
+            iq.append((np.full(pts.shape[0], li), pts, w))
+            clipped[li] = np.sum(w)
+        if chord is not None and (vals[li] < 0.0).any():
+            spts, sw = _segment_rule_loop(chord[0][None], chord[1][None])
+            g = _interpolant_gradients(coords[li][None], vals[li][None])[0]
+            bq.append((np.full(2, li), spts, sw,
+                       np.tile(g / np.linalg.norm(g), (2, 1))))
+
+    def by_parent(parts):
+        cols = [np.concatenate(c) for c in zip(*parts)]
+        order = np.argsort(cols[0], kind="stable")
+        return [c[order] for c in cols]
+
+    iq_parent, iq_points, iq_weights = by_parent(iq)
+    bq_parent, bq_points, bq_weights, bq_normals = by_parent(bq)
+    return SubsetGeometry(elems, cls, clipped, iq_parent, iq_points,
+                          iq_weights, bq_parent, bq_points, bq_weights,
+                          bq_normals)
+
+
+def all_active_assemble(ctx: AssemblyContext, geom,
+                        need=frozenset("AMbc")) -> dict:
+    """Pattern values of A and M and the vectors b, c from one stream pass
+    over the whole active set, with its quadrature built by clipping
+    every active element."""
+    sub = geom.active
+    st = ctx.streams(sub, geom.ghost_facets, need)
+    out = {comp: st.vector(comp) for comp in need & {"b", "c"}}
+    if "A" in need:
+        elem = ctx.elem_offsets["A"][sub.elems]
+        ghost = ctx.ghost_offsets(geom.ghost_facets)
+        offsets = np.concatenate([elem.ravel(), elem[sub.bq_parent].ravel(),
+                                  ghost.ravel()])
+        out["A"] = np.bincount(offsets, st.vals_a,
+                               minlength=ctx.pattern_A.nnz)
+    if "M" in need:
+        elem = ctx.elem_offsets["M"][sub.elems]
+        out["M"] = np.bincount(elem[sub.iq_parent].ravel(), st.vals_m,
+                               minlength=ctx.pattern_M.nnz)
+    return out
 
 
 def coo_scatter(pattern, rows, cols, vals) -> np.ndarray:

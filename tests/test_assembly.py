@@ -264,6 +264,15 @@ def test_pattern_overflow_outside_declared_range(coarse_problem):
     assemble_operators(ctx, 0.41)  # inside the range: fine
     with pytest.raises(PatternOverflowError):
         assemble_operators(ctx, 0.50)
+    # above the range an active element has no precomputed values, below
+    # it a ghost facet lies outside the pattern; either is named
+    for mu, what in ((0.50, "element"), (0.30, "ghost facet")):
+        geom = classify_elements(mesh, ft, LevelSetSquare(mu))
+        with pytest.raises(PatternOverflowError, match=rf"{what} \d+ "):
+            ctx.assemble(geom)
+    with pytest.raises(PatternOverflowError, match=r"ghost facet \d+ "):
+        ctx.assemble_component(classify_elements(
+            mesh, ft, LevelSetSquare(0.30)), "A")
 
 
 def test_box_mass_matrix_exact(bench_mesh):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cutrom import LevelSetSquare, boundary_quadrature, classify_elements, \
-    eval_levelset, interior_quadrature
+from cutrom import LevelSetSquare, classify_elements
 from cutrom.levelset import CUT, INSIDE, OUTSIDE, cut_candidates
+from oracles import boundary_quadrature, eval_levelset, interior_quadrature
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
