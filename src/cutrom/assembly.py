@@ -117,10 +117,6 @@ class SparsityPattern:
         return sp.csr_matrix((values, self.indices, self.indptr),
                              shape=(self.n, self.n))
 
-    def vec_indices(self) -> np.ndarray:
-        """1-based stacked index N*(i-1)+j of each pattern entry."""
-        return self.rows * self.n + self.cols + 1
-
 
 def box_mass_matrix(mesh: BackgroundMesh) -> sp.csr_matrix:
     """Exact P1 mass matrix of the full background box (SPD)."""
@@ -167,6 +163,14 @@ class _Streams:
         return _scatter(self.vec[comp], self.n)
 
 
+def _csr_index(rows: np.ndarray, cols: np.ndarray, n: int):
+    """CSR column indices, row pointers and size of n x n entries given in
+    (row, col) order."""
+    counts = np.bincount(rows, minlength=n)
+    return (cols.astype(np.int32),
+            np.concatenate([[0], np.cumsum(counts)]).astype(np.int32), n)
+
+
 def _scatter(parts, n: int) -> np.ndarray:
     """Length-n sum of (DOFs, values) parts; ``np.bincount`` adds in input
     order, like sequential scatter-adds."""
@@ -187,14 +191,19 @@ class AssemblyContext:
     (``ghost_blocks``), and so are the pattern offsets of every element's
     3x3 block (``elem_offsets``) and facet's 6x6 block (``ghost_offsets``).
 
-    The context also owns the ever-active set.  By monotonicity of the
+    The context is the one owner of the layout that follows from the mesh
+    and the parameter range; the snapshot, DEIM and online stages read it
+    here.  ``patterns[component]`` is the union pattern of A or M (None
+    for b and c), and ``cut_candidate`` marks the elements that can be cut
+    in the range (every element without a range).  By monotonicity of the
     level-set family in mu, no element outside the square at mu_max is ever
     active, so only the DOFs of the other elements (``ever_active``,
     ascending) can be nonzero in a solution, b or c, and only the pattern
     entries with both row and column among them in A or M.
     ``kept[component]`` holds these entries as ascending offsets into the
     component's values (pattern offsets for A and M, DOF ids for b and c);
-    without a parameter range every DOF is kept.
+    without a parameter range every DOF is kept.  ``expand``,
+    ``kept_matrix`` and ``full_matrix`` lay out values given at ``kept``.
 
     For the elements that can be active (all without a range) the context
     keeps the stream values they have when INSIDE (``_inside``, rows
@@ -223,16 +232,18 @@ class AssemblyContext:
 
         # faces that can carry a jump term: with a side that can be cut in
         # the parameter range, or every interior face without a range
-        faces = np.flatnonzero(inter)
-        reach = np.ones(mesh.n_elements, dtype=bool)
+        cand = reach = np.ones(mesh.n_elements, dtype=bool)
         if mu_range is not None:
-            cand = cut_candidates(mesh, mu_range[0], mu_range[1], center)
-            faces = faces[cand[left[faces]] | cand[right[faces]]]
+            cand = cut_candidates(mesh, *mu_range, center)
             reach = ~outside_elements(mesh, mu_range[1], center)
+        self.cut_candidate = cand
+        faces = np.flatnonzero(inter & (cand[left] | cand[right]))
         n = mesh.dof_count
         self.pattern_A = SparsityPattern(
             n, [mesh.elements, self.face_dofs6[faces]])
         self.pattern_M = SparsityPattern(n, [mesh.elements])
+        self.patterns = {"A": self.pattern_A, "M": self.pattern_M,
+                         "b": None, "c": None}
         elem_a, ghost = self.pattern_A.block_offsets
         self.elem_offsets = {"A": elem_a,
                              "M": self.pattern_M.block_offsets[0]}
@@ -262,15 +273,16 @@ class AssemblyContext:
         n_kept = self.ever_active.size
         local[self.ever_active] = np.arange(n_kept)
         self.kept = {"b": self.ever_active, "c": self.ever_active}
-        self._kept_csr = {}
+        # CSR index arrays of the kept entries: on the ever-active block
+        # and in the full numbering
+        self._kept_csr, self._full_csr = {}, {}
         for comp, pattern in (("A", self.pattern_A), ("M", self.pattern_M)):
             rows, cols = local[pattern.rows], local[pattern.cols]
-            keep = (rows >= 0) & (cols >= 0)
-            self.kept[comp] = np.flatnonzero(keep)
-            counts = np.bincount(rows[keep], minlength=n_kept)
-            self._kept_csr[comp] = (
-                cols[keep].astype(np.int32),
-                np.concatenate([[0], np.cumsum(counts)]).astype(np.int32))
+            kept = np.flatnonzero((rows >= 0) & (cols >= 0))
+            self.kept[comp] = kept
+            self._kept_csr[comp] = _csr_index(rows[kept], cols[kept], n_kept)
+            self._full_csr[comp] = _csr_index(pattern.rows[kept],
+                                              pattern.cols[kept], n)
 
         # INSIDE stream values of the elements that can be active; _slot
         # holds their row (-1 for the other elements)
@@ -286,9 +298,24 @@ class AssemblyContext:
     def kept_matrix(self, component: str, values) -> sp.csr_matrix:
         """Ever-active block of the A or M component from its values at
         ``kept[component]``."""
-        indices, indptr = self._kept_csr[component]
-        n = self.ever_active.size
+        indices, indptr, n = self._kept_csr[component]
         return sp.csr_matrix((values, indices, indptr), shape=(n, n))
+
+    def full_matrix(self, component: str, values) -> sp.csr_matrix:
+        """The A or M component with ``values`` at ``kept[component]``,
+        storing those entries only: the other pattern entries are zero for
+        every parameter of the range."""
+        indices, indptr, n = self._full_csr[component]
+        return sp.csr_matrix((values, indices, indptr), shape=(n, n))
+
+    def expand(self, component: str, values) -> np.ndarray:
+        """Full pattern values (or DOF vector) of values at
+        ``kept[component]``."""
+        pattern = self.patterns[component]
+        full = np.zeros(self.mesh.dof_count if pattern is None
+                        else pattern.nnz)
+        full[self.kept[component]] = values
+        return full
 
     def ghost_offsets(self, facets) -> np.ndarray:
         """Stiffness-pattern offsets of the facets' 6x6 ghost blocks,

@@ -87,6 +87,8 @@ def main(argv=None) -> int:
             run_offline(cfg, out_dir)
             print(f"offline bundle written to {out_dir}")
         elif args.command == "online":
+            if args.modes is not None and args.modes < 1:
+                raise ConfigError("--modes must be at least 1")
             dims = _parse_deim_dims(args.deim_dims) if args.deim_dims \
                 else None
             run_online(cfg, out_dir, modes=args.modes, deim_dims=dims)

@@ -10,22 +10,24 @@ procedure picks one interpolation entry per basis column; online, the
 operators are recovered from a partial assembly on a small reduced mesh
 that covers exactly the selected entries, at a cost independent of the
 full-order dimension.
+
+The layout all of this lives on (patterns, kept rows, the elements that
+can be cut) follows from the mesh and the parameter range and is owned by
+the ``AssemblyContext``; snapshots and models hold only their own data and
+take the context where they need the layout.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import AssemblyContext, SparsityPattern
+from .assembly import AssemblyContext
 from .errors import NumericalError
 from .levelset import GHOST_PAIR, LevelSetSquare, subset_geometry
-from .mesh import BackgroundMesh, FaceTable, vertex_to_elements
+from .mesh import vertex_to_elements
 
 COMPONENTS = ("A", "M", "b", "c")
 
@@ -35,16 +37,14 @@ class OperatorSnapshots:
     """Vectorized operator values over the training sample.
 
     Matrix components live on their union pattern, vector components on the
-    DOF range; ``values`` holds the entries at ``rows`` (ascending offsets
-    into the pattern or DOF range), one column per parameter.
+    DOF range; ``values`` holds the entries at ``AssemblyContext.kept``
+    (ascending offsets into the pattern or DOF range), one column per
+    parameter.
     """
 
     component: str
     params: np.ndarray
-    values: np.ndarray                      # (n_rows, M)
-    pattern: Optional[SparsityPattern]      # None for the vector components
-    n: int                                  # DOF count
-    rows: np.ndarray                        # (n_rows,) kept offsets
+    values: np.ndarray                      # (n_kept, M)
 
 
 @dataclass
@@ -121,26 +121,19 @@ def deim_select(U: np.ndarray):
     return indices, projector
 
 
-def _pairs_of_indices(indices: np.ndarray,
-                      pattern: Optional[SparsityPattern]) -> np.ndarray:
-    """Map selected offsets to DOF pairs (matrices) or DOFs (vectors)."""
-    if pattern is None:
-        return np.asarray(indices, dtype=np.int64)
-    return np.column_stack([pattern.rows[indices], pattern.cols[indices]])
-
-
-def build_reduced_mesh(pairs: np.ndarray, mesh: BackgroundMesh,
-                       face_table: FaceTable, component: str,
-                       cut_candidate: Optional[np.ndarray] = None):
+def build_reduced_mesh(pairs: np.ndarray, ctx: AssemblyContext,
+                       component: str):
     """Smallest element set whose partial assembly covers all entries.
 
     An element joins when its DOF set contains both indices of a selected
     pair (or the single index for vector components).  For the stiffness
     component, pairs coupled only through a gradient-jump facet pull in
     that facet with both its neighbors, and every potential ghost facet of
-    an included element is recorded with its across-facet neighbor so the
-    online jump terms are complete for any parameter value.
+    an included element (one with a side in ``ctx.cut_candidate``) is
+    recorded with its across-facet neighbor so the online jump terms are
+    complete for any parameter value of the range.
     """
+    mesh, face_table = ctx.mesh, ctx.face_table
     indptr, v2e = vertex_to_elements(mesh)
 
     def elems_of(v: int) -> np.ndarray:
@@ -158,10 +151,6 @@ def build_reduced_mesh(pairs: np.ndarray, mesh: BackgroundMesh,
                     f"selected DOF {i} is covered by no element")
             elements.update(int(e) for e in covering)
     else:
-        el = mesh.elements
-        ft_dofs6 = np.concatenate(
-            [el[face_table.face_left],
-             el[np.maximum(face_table.face_right, 0)]], axis=1)
         interior = face_table.face_right >= 0
         for i, j in pairs:
             common = np.intersect1d(elems_of(int(i)), elems_of(int(j)))
@@ -175,8 +164,8 @@ def build_reduced_mesh(pairs: np.ndarray, mesh: BackgroundMesh,
                                              elems_of(int(j))]))
             cand = np.unique(face_table.element_to_faces[near].ravel())
             cand = cand[interior[cand]]
-            hit = cand[np.any(ft_dofs6[cand] == i, axis=1)
-                       & np.any(ft_dofs6[cand] == j, axis=1)]
+            hit = cand[np.any(ctx.face_dofs6[cand] == i, axis=1)
+                       & np.any(ctx.face_dofs6[cand] == j, axis=1)]
             if hit.size == 0:
                 raise NumericalError(
                     f"pair ({i}, {j}) is covered by no element or facet")
@@ -185,14 +174,12 @@ def build_reduced_mesh(pairs: np.ndarray, mesh: BackgroundMesh,
             elements.update(int(e) for e in face_table.face_right[hit])
 
     if component == "A":
-        if cut_candidate is None:
-            cut_candidate = np.ones(mesh.n_elements, dtype=bool)
         for e in sorted(elements):
             for f in face_table.element_to_faces[e]:
                 left, right = face_table.face_left[f], face_table.face_right[f]
                 if right < 0:
                     continue
-                if cut_candidate[left] or cut_candidate[right]:
+                if ctx.cut_candidate[left] or ctx.cut_candidate[right]:
                     facets.add(int(f))
                     elements.add(int(left))
                     elements.add(int(right))
@@ -205,18 +192,15 @@ def build_reduced_mesh(pairs: np.ndarray, mesh: BackgroundMesh,
 class DeimModel:
     """Everything the online stage needs for one operator component.
 
-    ``U`` and ``projector`` hold the rows ``rows`` of the full pattern or
-    DOF range; ``indices`` are full offsets.
+    ``U`` and ``projector`` hold the rows ``AssemblyContext.kept`` of the
+    full pattern or DOF range; ``indices`` are full offsets (DOF ids for b
+    and c).
     """
 
     component: str
-    n: int
-    pattern: Optional[SparsityPattern]
-    rows: np.ndarray               # (n_rows,) kept offsets, ascending
-    U: np.ndarray                  # (n_rows, m)
+    U: np.ndarray                  # (n_kept, m)
     indices: np.ndarray            # (m,) offsets into the pattern / DOFs
-    pairs: np.ndarray              # (m, 2) DOF pairs or (m,) DOFs
-    projector: np.ndarray          # (n_rows, m) = U (P^T U)^-1
+    projector: np.ndarray          # (n_kept, m) = U (P^T U)^-1
     reduced_elements: np.ndarray
     reduced_facets: np.ndarray
     eigenvalues: np.ndarray
@@ -225,62 +209,34 @@ class DeimModel:
     def m(self) -> int:
         return self.indices.size
 
-    def expand(self, values: np.ndarray) -> np.ndarray:
-        """Full pattern values (or DOF vector) of values at ``rows``."""
-        full = np.zeros(self.n if self.pattern is None else self.pattern.nnz)
-        full[self.rows] = values
-        return full
-
-    @cached_property
-    def _rows_csr(self):
-        """Column indices and row pointers of the pattern entries at
-        ``rows``."""
-        pattern = self.pattern
-        counts = np.bincount(pattern.rows[self.rows], minlength=pattern.n)
-        return (pattern.indices[self.rows],
-                np.concatenate([[0], np.cumsum(counts)]).astype(np.int32))
-
-    def matrix(self, values: np.ndarray) -> sp.csr_matrix:
-        """The operator with ``values`` at ``rows``, storing those entries
-        only: the other pattern entries are zero for every parameter of
-        the range."""
-        indices, indptr = self._rows_csr
-        n = self.pattern.n
-        return sp.csr_matrix((values, indices, indptr), shape=(n, n))
-
 
 def make_deim_model(U: np.ndarray, eigenvalues: np.ndarray, m: int,
-                    component: str, pattern: Optional[SparsityPattern],
-                    n: int, rows: np.ndarray, mesh: BackgroundMesh,
-                    face_table: FaceTable,
-                    cut_candidate: Optional[np.ndarray] = None) -> DeimModel:
+                    component: str, ctx: AssemblyContext) -> DeimModel:
     """Select indices for the first m modes and detect the reduced mesh."""
     m = min(m, U.shape[1])
     local, projector = deim_select(U[:, :m])
-    indices = rows[local]
-    pairs = _pairs_of_indices(indices, pattern)
-    elements, facets = build_reduced_mesh(pairs, mesh, face_table,
-                                          component, cut_candidate)
-    return DeimModel(component, n, pattern, rows, U[:, :indices.size].copy(),
-                     indices, pairs, projector, elements, facets,
+    indices = ctx.kept[component][local]
+    pattern = ctx.patterns[component]
+    # DOF pairs of the selected matrix entries; DOFs for the vectors
+    pairs = indices if pattern is None else \
+        np.column_stack([pattern.rows[indices], pattern.cols[indices]])
+    elements, facets = build_reduced_mesh(pairs, ctx, component)
+    return DeimModel(component, U[:, :indices.size].copy(), indices,
+                     projector, elements, facets,
                      np.asarray(eigenvalues, dtype=float))
 
 
 def model_from_snapshots(basis: DeimBasis, m: int, snaps: OperatorSnapshots,
-                         mesh: BackgroundMesh, face_table: FaceTable,
-                         cut_candidate: Optional[np.ndarray] = None) -> DeimModel:
+                         ctx: AssemblyContext) -> DeimModel:
     return make_deim_model(basis.U, basis.eigenvalues, m, snaps.component,
-                           snaps.pattern, snaps.n, snaps.rows, mesh,
-                           face_table, cut_candidate)
+                           ctx)
 
 
-def truncate_model(model: DeimModel, m: int, mesh: BackgroundMesh,
-                   face_table: FaceTable,
-                   cut_candidate: Optional[np.ndarray] = None) -> DeimModel:
+def truncate_model(model: DeimModel, m: int,
+                   ctx: AssemblyContext) -> DeimModel:
     """Rebuild a model from the first m stored modes (m <= model.m)."""
     return make_deim_model(model.U, model.eigenvalues, m, model.component,
-                           model.pattern, model.n, model.rows, mesh,
-                           face_table, cut_candidate)
+                           ctx)
 
 
 class PartialAssembler:
@@ -310,11 +266,19 @@ class PartialAssembler:
         self.sides = np.searchsorted(self.elems, np.stack(
             [ft.face_left[self.facets], ft.face_right[self.facets]]))
         ghost = ctx.ghost_offsets(self.facets)
-        self.slots = [
-            model.pairs.astype(np.int64) if model.pattern is None else
-            (_slot_map(model, ctx.elem_offsets[model.component][self.elems]),
-             _slot_map(model, ghost) if model.component == "A" else None)
-            for model in self.models]
+
+        def slots(model: DeimModel):
+            comp = model.component
+            if comp in ("b", "c"):
+                return model.indices
+            # slot of each pattern offset: its position among the model's
+            # selected entries, m where not selected (and for nnz)
+            slot = np.full(ctx.patterns[comp].nnz + 1, model.m)
+            slot[model.indices] = np.arange(model.m)
+            return (slot[ctx.elem_offsets[comp][self.elems]],
+                    slot[ghost] if comp == "A" else None)
+
+        self.slots = [slots(model) for model in self.models]
 
     def theta(self, mu: float) -> np.ndarray:
         """Selected operator entries, identical to a full assembly there.
@@ -357,22 +321,15 @@ class PartialAssembler:
         matrix storing the model's kept entries, or a full-length vector."""
         (model,) = self.models
         theta = self.theta(mu)
-        if model.pattern is None:
+        if model.component in ("b", "c"):
             return self.projector_apply(theta)
-        return model.matrix(model.projector @ theta)
+        return self.ctx.full_matrix(model.component,
+                                    model.projector @ theta)
 
     def projector_apply(self, theta: np.ndarray) -> np.ndarray:
         """Full pattern values (or DOF vector) interpolated from theta."""
         (model,) = self.models
-        return model.expand(model.projector @ theta)
-
-
-def _slot_map(model: DeimModel, offsets: np.ndarray) -> np.ndarray:
-    """Slot of each pattern offset: its position among the model's
-    selected entries, ``model.m`` where not selected (and for ``nnz``)."""
-    slot = np.full(model.pattern.nnz + 1, model.m)
-    slot[model.indices] = np.arange(model.m)
-    return slot[offsets]
+        return self.ctx.expand(model.component, model.projector @ theta)
 
 
 def spectral_norm(mat, iters: int = 120) -> float:

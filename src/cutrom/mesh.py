@@ -58,10 +58,6 @@ class FaceTable:
     def n_faces(self) -> int:
         return self.faces.shape[0]
 
-    @property
-    def interior_mask(self) -> np.ndarray:
-        return self.face_right >= 0
-
 
 def build_background_mesh(box_min, box_max, h_target: float) -> BackgroundMesh:
     """Build the criss-cross grid with ceil(L/h) cells per axis.

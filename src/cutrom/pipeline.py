@@ -5,7 +5,9 @@ from the resolved config (and checked against a fingerprint), the POD bases
 and interpolation data are stored in the matrix container format, and the
 aggregated basis and reduced terms are derived from them on every load.
 Snapshots, bases and W hold the rows of the ever-active DOFs and entries
-only (``AssemblyContext.ever_active`` and ``.kept``).
+only (``AssemblyContext.ever_active`` and ``.kept``); the context of the
+config is the one source of that layout, and of the patterns and cut
+candidates the DEIM stage reads.
 Online runs solve full and reduced models on a fresh test sample and emit
 deterministic error reports; timings go to their own file so that error
 CSVs are byte-identical across runs.
@@ -28,10 +30,11 @@ import scipy.sparse as sp
 from .assembly import AssemblyContext, assemble_operators, \
     box_mass_matrix, get_case
 from .deim import COMPONENTS, DeimModel, OperatorSnapshots, \
-    PartialAssembler, _pairs_of_indices, deim_basis, model_from_snapshots, \
-    spectral_norm, truncate_model
+    PartialAssembler, deim_basis, model_from_snapshots, spectral_norm, \
+    truncate_model
 from .errors import ConfigError, NumericalError
 from .kkt import assemble_kkt, solve_kkt
+# cut_candidates is not called here; perfbench/tracing.py wraps it by name
 from .levelset import LevelSetSquare, classify_elements, cut_candidates
 from .mesh import BackgroundMesh, build_background_mesh, build_face_table
 from .pod import AggregatedBasis, PodBasis, SnapshotSet, aggregate_basis, \
@@ -156,16 +159,11 @@ class OfflineBundle:
         return self.ctx.face_table
 
 
-def _patterns(ctx: AssemblyContext) -> dict:
-    return {"A": ctx.pattern_A, "M": ctx.pattern_M, "b": None, "c": None}
-
-
 def training_sweep(params, ctx: AssemblyContext, W):
     """One assembly+solve pass that feeds both snapshot families, kept on
     the ever-active DOFs and entries."""
     params = np.asarray(params, dtype=float)
-    n = ctx.mesh.dof_count
-    pats, kept, dofs = _patterns(ctx), ctx.kept, ctx.ever_active
+    kept, dofs = ctx.kept, ctx.ever_active
     S = {var: np.zeros((dofs.size, params.size)) for var in VARS}
     vals = {comp: np.zeros((kept[comp].size, params.size))
             for comp in COMPONENTS}
@@ -181,8 +179,7 @@ def training_sweep(params, ctx: AssemblyContext, W):
         for var in VARS:
             S[var][:, k] = getattr(sol, var)[dofs]
     snaps = SnapshotSet(params, *(S[var] for var in VARS))
-    opsnaps = {comp: OperatorSnapshots(comp, params, vals[comp], pats[comp], n,
-                                       kept[comp])
+    opsnaps = {comp: OperatorSnapshots(comp, params, vals[comp])
                for comp in COMPONENTS}
     return snaps, opsnaps
 
@@ -241,13 +238,11 @@ def _deim_build(s):
     # without a snapshots build in this run, the sweep is repeated for the
     # operator snapshots and its solutions are discarded
     opsnaps = s.get("opsnaps") or training_sweep(s["params"], ctx, s["W"])[1]
-    candidates = cut_candidates(ctx.mesh, cfg.mu_min, cfg.mu_max, CENTER)
     models = {}
     for comp in COMPONENTS:
         dbasis = deim_basis(opsnaps[comp], cfg.eps_deim)
         models[comp] = model_from_snapshots(dbasis, dbasis.m, opsnaps[comp],
-                                            ctx.mesh, ctx.face_table,
-                                            candidates)
+                                            ctx)
     return {"deim_models": models}
 
 
@@ -264,15 +259,11 @@ def _deim_save(out: Path, s) -> None:
 
 
 def _deim_load(out: Path, s):
-    ctx = s["ctx"]
-    pats = _patterns(ctx)
     models = {}
     for comp in COMPONENTS:
-        indices = load_index_list(out / f"deim_{comp}_indices.txt")
         models[comp] = DeimModel(
-            comp, ctx.mesh.dof_count, pats[comp], ctx.kept[comp],
-            load_matrix(out / f"deim_{comp}_U.romb"), indices,
-            _pairs_of_indices(indices, pats[comp]),
+            comp, load_matrix(out / f"deim_{comp}_U.romb"),
+            load_index_list(out / f"deim_{comp}_indices.txt"),
             load_matrix(out / f"deim_{comp}_proj.romb"),
             load_index_list(out / f"deim_{comp}_elements.txt"),
             load_index_list(out / f"deim_{comp}_facets.txt"),
@@ -473,15 +464,16 @@ def sample_test_parameters(cfg: RunConfig) -> np.ndarray:
     return np.sort(rng.uniform(cfg.mu_min, cfg.mu_max, cfg.m_test))
 
 
-def _norm(model: DeimModel, x) -> float:
+def _norm(comp: str, x) -> float:
     """2-norm of a matrix component, Euclidean norm of a vector one."""
-    return spectral_norm(x) if model.pattern is not None \
+    return spectral_norm(x) if comp in ("A", "M") \
         else float(np.linalg.norm(x))
 
 
 def _component_error(model: DeimModel, assembler: PartialAssembler,
                      mu: float, exact, exact_norm: float) -> float:
-    return _norm(model, assembler.reconstruct(mu) - exact) / exact_norm
+    return _norm(model.component, assembler.reconstruct(mu) - exact) \
+        / exact_norm
 
 
 def _exact_component(ops, comp: str):
@@ -494,13 +486,10 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     bundle = load_bundle(out, cfg)
     ctx = bundle.ctx
-    mesh = bundle.mesh
-    candidates = cut_candidates(mesh, cfg.mu_min, cfg.mu_max, CENTER)
 
     rom = bundle.rom
     if modes is not None or deim_dims:
-        models = {comp: truncate_model(model, deim_dims[comp], mesh,
-                                       bundle.face_table, candidates)
+        models = {comp: truncate_model(model, deim_dims[comp], ctx)
                   if comp in (deim_dims or {}) else model
                   for comp, model in bundle.deim_models.items()}
         basis = bundle.basis if modes is None \
@@ -522,7 +511,7 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
         errs, _ = relative_error(full, sol, ops.M)
         for comp, model in rom.deim.items():
             exact = _exact_component(ops, comp)
-            norms[comp].append(_norm(model, exact))
+            norms[comp].append(_norm(comp, exact))
             comp_errors[comp].append(_component_error(
                 model, rom.assemblers[comp], float(mu), exact,
                 norms[comp][-1]))
@@ -536,8 +525,7 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
                   ["mu", "err_y", "err_u", "err_p", "deim_err_A",
                    "deim_err_M", "deim_err_b", "deim_err_c"], error_rows)
 
-        deim_rows = _deim_sweep(bundle, rom, all_ops, mus, candidates, norms,
-                                comp_errors)
+        deim_rows = _deim_sweep(bundle, rom, all_ops, mus, norms, comp_errors)
         write_csv(out / "deim_errors.csv",
                   ["component", "m", "mean_rel_error"], deim_rows)
 
@@ -556,8 +544,8 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
             "modes": sweep_rows, "timings": dict(timing_rows)}
 
 
-def _deim_sweep(bundle: OfflineBundle, rom: RomModel, all_ops, mus,
-                candidates, norms, errors):
+def _deim_sweep(bundle: OfflineBundle, rom: RomModel, all_ops, mus, norms,
+                errors):
     """Mean reconstruction error per component over a grid of dimensions.
 
     ``norms`` and ``errors`` hold the exact-operator norms and the errors
@@ -574,8 +562,7 @@ def _deim_sweep(bundle: OfflineBundle, rom: RomModel, all_ops, mus,
             if m == rom.deim[comp].m:
                 errs = errors[comp]
             else:
-                sub = truncate_model(model, m, bundle.mesh,
-                                     bundle.face_table, candidates)
+                sub = truncate_model(model, m, bundle.ctx)
                 asm = PartialAssembler(sub, bundle.ctx)
                 errs = [_component_error(sub, asm, float(mu), e, nz)
                         for mu, e, nz in zip(mus, exact, norms[comp])]
@@ -697,7 +684,8 @@ def run_verify(cfg: RunConfig, out_dir=None):
                    f"max deviation {dev:.3e}"))
 
     for comp, model in bundle.deim_models.items():
-        ident = model.projector[np.searchsorted(model.rows, model.indices)]
+        ident = model.projector[np.searchsorted(bundle.ctx.kept[comp],
+                                                model.indices)]
         dev = float(np.max(np.abs(ident - np.eye(model.m))))
         checks.append((f"deim_projector_identity_{comp}", dev <= 1e-12,
                        f"max deviation {dev:.3e}"))

@@ -46,15 +46,6 @@ class RomModel:
     assembler: PartialAssembler    # models in COMPONENTS order
 
     @property
-    def q_matrix_terms(self) -> int:
-        """Distinct stored matrix term families (each hits several blocks)."""
-        return self.A_terms.shape[0] + self.M_yp_terms.shape[0]
-
-    @property
-    def q_vector_terms(self) -> int:
-        return self.b_terms.shape[0] + self.c_terms.shape[0]
-
-    @property
     def reduced_dim(self) -> int:
         return self.basis.reduced_dim
 

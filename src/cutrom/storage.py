@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .assembly import CASES
 from .errors import ConfigError
 
 MAGIC = b"ROMB"
@@ -161,8 +162,11 @@ def parse_config(path) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if not cfg.mu_min < cfg.mu_max:
-        raise ConfigError("need mu_min < mu_max")
+    if cfg.case not in CASES:
+        raise ConfigError(f"unknown case {cfg.case!r}; available: "
+                          + ",".join(sorted(CASES)))
+    if not 0 < cfg.mu_min < cfg.mu_max:
+        raise ConfigError("need 0 < mu_min < mu_max")
     if cfg.h_target <= 0:
         raise ConfigError("h_target must be positive")
     if cfg.m_train < 2:

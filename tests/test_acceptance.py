@@ -16,7 +16,6 @@ from cutrom import LevelSetSquare, RunConfig, aggregate_basis, assemble_kkt, \
     assemble_operators, classify_elements, precompute_reduced_terms, \
     relative_error, rom_solve, solve_kkt, spectral_norm
 from cutrom.deim import PartialAssembler, truncate_model
-from cutrom.levelset import cut_candidates
 from cutrom.pipeline import MODES_SWEEP, build_problem, median_time, \
     run_offline, run_online, sample_test_parameters
 from cutrom.pod import energy_cutoff
@@ -107,12 +106,8 @@ def test_criterion_3_deim_interpolation_exactness(bench):
         for comp, model in bundle.deim_models.items():
             asm = bundle.rom.assemblers[comp]
             recon = asm.projector_apply(asm.theta(o.mu))
-            if model.pattern is not None:
-                recon_sel = recon[model.indices]
-                ref = exact[comp][model.indices]
-            else:
-                recon_sel = recon[model.pairs]
-                ref = exact[comp][model.pairs]
+            recon_sel = recon[model.indices]
+            ref = exact[comp][model.indices]
             scale = np.abs(ref).max() + 1e-300
             worst = max(worst, float(np.abs(recon_sel - ref).max() / scale))
     _report(3, worst <= 1e-12,
@@ -122,9 +117,6 @@ def test_criterion_3_deim_interpolation_exactness(bench):
 
 def test_criterion_4_deim_accuracy(bench):
     bundle = bench["bundle"]
-    cfg = bench["cfg"]
-    mesh, ft = bundle.mesh, bundle.face_table
-    cand = cut_candidates(mesh, cfg.mu_min, cfg.mu_max)
     t0 = time.perf_counter()
     tol = {"A": 0.05, "M": 5e-3, "b": 5e-3, "c": 5e-3}
     want = {"A": 30, "M": 10, "b": 10, "c": 10}
@@ -133,13 +125,13 @@ def test_criterion_4_deim_accuracy(bench):
     for comp, model in bundle.deim_models.items():
         m = min(want[comp], model.m)   # operator family rank caps m
         dims[comp] = m
-        sub = truncate_model(model, m, mesh, ft, cand)
+        sub = truncate_model(model, m, bundle.ctx)
         asm = PartialAssembler(sub, bundle.ctx)
         errs = []
         for o in bench["ops"]:
             exact = {"A": o.A, "M": o.M, "b": o.b, "c": o.c}[comp]
             rec = asm.reconstruct(o.mu)
-            if model.pattern is not None:
+            if comp in ("A", "M"):
                 errs.append(spectral_norm(rec - exact)
                             / spectral_norm(exact))
             else:
@@ -255,10 +247,8 @@ def test_criterion_8_speedups(speed_setup):
         lambda: solve_kkt(assemble_kkt(ops0, cfg.alpha)),
         lambda: rom_solve(rom, mu0, lift=False))
 
-    cand = cut_candidates(bundle.mesh, cfg.mu_min, cfg.mu_max)
     m_a = min(10, m_a)
-    model_a = truncate_model(bundle.deim_models["A"], m_a, bundle.mesh,
-                             bundle.face_table, cand)
+    model_a = truncate_model(bundle.deim_models["A"], m_a, bundle.ctx)
     asm = PartialAssembler(model_a, bundle.ctx)
     t_full_a, t_recon = _paired_medians(
         lambda: bundle.ctx.assemble_component(

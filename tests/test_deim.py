@@ -6,15 +6,13 @@ from cutrom import assemble_operators, box_mass_matrix, build_reduced_mesh, \
 from cutrom.deim import OperatorSnapshots, PartialAssembler, \
     model_from_snapshots, truncate_model
 from cutrom.errors import NumericalError
-from cutrom.levelset import cut_candidates
 from cutrom.mesh import vertex_to_elements
 
 
-def _vector_snaps(values, n=None):
+def _vector_snaps(values):
     values = np.asarray(values, dtype=float)
     return OperatorSnapshots("b", np.arange(values.shape[1], dtype=float),
-                             values, None, n or values.shape[0],
-                             np.arange(values.shape[0]))
+                             values)
 
 
 def test_rank_one_family():
@@ -124,20 +122,12 @@ def test_identical_parameters_give_identical_columns(coarse_problem):
         assert np.array_equal(v[:, 0], v[:, 1])
 
 
-def test_vectorization_indices(coarse_problem):
-    pat = coarse_problem["ctx"].pattern_A
-    n = coarse_problem["mesh"].dof_count
-    vec = pat.vec_indices()
-    assert np.array_equal(vec, pat.rows * n + pat.cols + 1)
-    assert np.all(np.diff(vec) > 0)
-
-
 def test_reduced_mesh_diagonal_entry(coarse_problem):
     mesh = coarse_problem["mesh"]
-    ft = coarse_problem["face_table"]
+    ctx = coarse_problem["ctx"]
     indptr, v2e = vertex_to_elements(mesh)
     v = mesh.dof_count // 2 + 3
-    elements, facets = build_reduced_mesh(np.array([[v, v]]), mesh, ft, "M")
+    elements, facets = build_reduced_mesh(np.array([[v, v]]), ctx, "M")
     assert np.array_equal(elements, v2e[indptr[v]:indptr[v + 1]])
     assert facets.size == 0
 
@@ -146,48 +136,44 @@ def test_reduced_mesh_ghost_only_pair(coarse_problem):
     # apex DOFs across an interior face share no element; the covering
     # facet and both neighbors must be pulled in
     mesh = coarse_problem["mesh"]
+    ctx = coarse_problem["ctx"]
     ft = coarse_problem["face_table"]
-    f = int(np.flatnonzero(ft.interior_mask)[10])
+    f = int(np.flatnonzero(ft.face_right >= 0)[10])
     left, right = ft.face_left[f], ft.face_right[f]
     shared = set(ft.faces[f])
     i = (set(mesh.elements[left]) - shared).pop()
     j = (set(mesh.elements[right]) - shared).pop()
-    elements, facets = build_reduced_mesh(np.array([[i, j]]), mesh, ft, "A")
+    elements, facets = build_reduced_mesh(np.array([[i, j]]), ctx, "A")
     assert f in set(facets.tolist())
     assert {int(left), int(right)} <= set(elements.tolist())
     with pytest.raises(NumericalError):
-        build_reduced_mesh(np.array([[i, j]]), mesh, ft, "M")
+        build_reduced_mesh(np.array([[i, j]]), ctx, "M")
 
 
 def test_reduced_mesh_uncoverable_pair(coarse_problem):
     mesh = coarse_problem["mesh"]
-    ft = coarse_problem["face_table"]
+    ctx = coarse_problem["ctx"]
     with pytest.raises(NumericalError):
-        build_reduced_mesh(np.array([[0, mesh.dof_count - 1]]), mesh, ft, "A")
+        build_reduced_mesh(np.array([[0, mesh.dof_count - 1]]), ctx, "A")
 
 
 @pytest.fixture(scope="module")
 def deim_models(operator_snaps, coarse_problem):
-    mesh = coarse_problem["mesh"]
-    ft = coarse_problem["face_table"]
-    cand = cut_candidates(mesh, 0.4, 0.5)
+    ctx = coarse_problem["ctx"]
     models = {}
     for comp in "AMbc":
         basis = deim_basis(operator_snaps[comp], eps=0.0)
         models[comp] = model_from_snapshots(basis, basis.m,
-                                            operator_snaps[comp], mesh, ft,
-                                            cand)
+                                            operator_snaps[comp], ctx)
     return models
 
 
 def test_reduced_mesh_nested_in_dimension(deim_models, coarse_problem):
-    mesh = coarse_problem["mesh"]
-    ft = coarse_problem["face_table"]
-    cand = cut_candidates(mesh, 0.4, 0.5)
+    ctx = coarse_problem["ctx"]
     model = deim_models["A"]
     prev: set = set()
     for m in range(1, model.m + 1):
-        sub = truncate_model(model, m, mesh, ft, cand)
+        sub = truncate_model(model, m, ctx)
         current = set(sub.reduced_elements.tolist())
         assert prev <= current
         prev = current
@@ -202,7 +188,7 @@ def test_indices_distinct_and_facet_free_vectors(deim_models,
         if comp in ("b", "c"):
             assert model.reduced_facets.size == 0
             support = np.unique(np.concatenate(
-                [v2e[indptr[v]:indptr[v + 1]] for v in model.pairs]))
+                [v2e[indptr[v]:indptr[v + 1]] for v in model.indices]))
             assert np.array_equal(model.reduced_elements, support)
 
 
@@ -234,31 +220,25 @@ def test_selected_entries_bitwise_exact(deim_models, coarse_problem):
         for comp, model in deim_models.items():
             asm = PartialAssembler(model, ctx)
             theta = asm.theta(mu)
-            if model.pattern is not None:
-                ref = exact[comp][model.indices]
-            else:
-                ref = exact[comp][model.pairs]
+            ref = exact[comp][model.indices]
             assert np.array_equal(theta, ref)
 
 
 def test_error_decay_with_dimension(deim_models, coarse_problem):
     ctx = coarse_problem["ctx"]
-    mesh = coarse_problem["mesh"]
-    ft = coarse_problem["face_table"]
-    cand = cut_candidates(mesh, 0.4, 0.5)
     mus = np.linspace(0.403, 0.497, 7)
     exact = {mu: assemble_operators(ctx, float(mu)) for mu in mus}
     for comp, model in deim_models.items():
         means = []
         for m in range(1, model.m + 1):
-            sub = truncate_model(model, m, mesh, ft, cand)
+            sub = truncate_model(model, m, ctx)
             asm = PartialAssembler(sub, ctx)
             errs = []
             for mu in mus:
                 ops = exact[mu]
                 ref = {"A": ops.A, "M": ops.M, "b": ops.b, "c": ops.c}[comp]
                 rec = asm.reconstruct(float(mu))
-                if model.pattern is not None:
+                if comp in ("A", "M"):
                     errs.append(spectral_norm(rec - ref)
                                 / spectral_norm(ref))
                 else:
@@ -279,13 +259,10 @@ def test_reduced_mesh_size_at_benchmark_resolution(bench_mesh, bench_faces):
     params = np.linspace(0.4, 0.5, 20)
     snaps = training_sweep(params, ctx, box_mass_matrix(bench_mesh))[1]
     basis = deim_basis(snaps["A"], eps=1e-10)
-    cand = cut_candidates(bench_mesh, 0.4, 0.5)
-    model = model_from_snapshots(basis, min(5, basis.m), snaps["A"],
-                                 bench_mesh, bench_faces, cand)
+    model = model_from_snapshots(basis, min(5, basis.m), snaps["A"], ctx)
     assert 6 <= model.reduced_elements.size <= 150
     assert 6 <= model.reduced_facets.size <= 250
-    single = model_from_snapshots(basis, 1, snaps["A"], bench_mesh,
-                                  bench_faces, cand)
+    single = model_from_snapshots(basis, 1, snaps["A"], ctx)
     assert single.reduced_elements.size <= model.reduced_elements.size
 
 

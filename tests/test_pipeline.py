@@ -285,6 +285,17 @@ def test_cli_error_codes(tmp_path, capsys):
                      "--deim-dims", "1,2"]) == 2
     assert cli_main(["online", "--config", str(cfg_path),
                      "--deim-dims", "a,b,c,d"]) == 2
+    capsys.readouterr()
+    for k in ("0", "-1"):
+        assert cli_main(["online", "--config", str(cfg_path),
+                         "--modes", k]) == 2
+        assert "--modes" in capsys.readouterr().err
+    for key, value in (("case", "nope"), ("mu_min", "0")):
+        bad = _write_cfg(tmp_path, h_target=0.3, m_train=4, m_test=2,
+                         out_dir=str(tmp_path / "bad"), **{key: value})
+        assert cli_main(["offline", "--config", str(bad)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
 
 def test_cli_seed_override(tmp_path):

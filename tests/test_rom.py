@@ -7,7 +7,6 @@ from cutrom import aggregate_basis, assemble_kkt, assemble_operators, \
     sample_parameters, solve_kkt
 from cutrom.deim import deim_basis, model_from_snapshots
 from cutrom.errors import NumericalError
-from cutrom.levelset import cut_candidates
 from cutrom.pipeline import training_sweep
 from cutrom.pod import AggregatedBasis
 from cutrom.rom import _dense_solve, assemble_reduced_system
@@ -19,7 +18,6 @@ def rom_setup(coarse_problem):
     ctx = coarse_problem["ctx"]
     W = coarse_problem["W"]
     mesh = coarse_problem["mesh"]
-    ft = coarse_problem["face_table"]
     params = sample_parameters(0.4, 0.5, 24, seed=77)
     snaps, opsnaps = training_sweep(params, ctx, W)
     pod = {v: pod_basis(getattr(snaps, f"S_{v}"), W, 1e-5, min_stored=15)
@@ -28,12 +26,10 @@ def rom_setup(coarse_problem):
                             pod["u"].vectors[:, :pod["u"].retained],
                             pod["p"].vectors[:, :pod["p"].retained], W,
                             ctx.ever_active, mesh.dof_count)
-    cand = cut_candidates(mesh, 0.4, 0.5)
     models = {}
     for comp in "AMbc":
         db = deim_basis(opsnaps[comp], eps=0.0)
-        models[comp] = model_from_snapshots(db, db.m, opsnaps[comp],
-                                            mesh, ft, cand)
+        models[comp] = model_from_snapshots(db, db.m, opsnaps[comp], ctx)
     rom = precompute_reduced_terms(basis, models, ctx, ctx.case.alpha)
     return {"ctx": ctx, "basis": basis, "models": models, "rom": rom,
             "params": params, "pod": pod, "snaps": snaps, "W": W}
@@ -102,8 +98,8 @@ def test_identity_basis_terms_equal_projector_columns(rom_setup):
     rom = precompute_reduced_terms(ident, models, ctx, ctx.case.alpha)
     model = models["A"]
     for j in (0, model.m - 1):
-        full = model.pattern.csr_with_values(
-            model.expand(model.projector[:, j]))
+        full = ctx.pattern_A.csr_with_values(
+            ctx.expand("A", model.projector[:, j]))
         dense = full[dofs][:, dofs].toarray()
         assert np.abs(rom.A_terms[j] - dense).max() <= 1e-14
     vec = models["b"].projector[:, 0]
@@ -168,9 +164,10 @@ def test_rom_solution_timings_present(rom_setup):
     sol = rom_solve(rom_setup["rom"], 0.466)
     for key in ("theta", "form", "solve", "lift", "total_excl_lift"):
         assert sol.timings[key] >= 0.0
-    assert rom_setup["rom"].q_matrix_terms == \
+    rom = rom_setup["rom"]
+    assert rom.A_terms.shape[0] + rom.M_yp_terms.shape[0] == \
         rom_setup["models"]["A"].m + rom_setup["models"]["M"].m
-    assert rom_setup["rom"].q_vector_terms == \
+    assert rom.b_terms.shape[0] + rom.c_terms.shape[0] == \
         rom_setup["models"]["b"].m + rom_setup["models"]["c"].m
 
 
@@ -178,9 +175,9 @@ def test_online_cost_independent_of_mesh_size():
     # quadrupling the mesh at fixed reduced dimensions changes the online
     # solve time by well under 2x
     from cutrom import RunConfig
-    from cutrom.pipeline import build_problem, median_time, training_sweep
+    from cutrom.pipeline import build_problem, training_sweep
 
-    times = {}
+    roms = {}
     for h in (0.2, 0.1):
         cfg = RunConfig(h_target=h, seed=31)
         mesh, ft, case, ctx, W = build_problem(cfg)
@@ -191,17 +188,20 @@ def test_online_cost_independent_of_mesh_size():
         basis = aggregate_basis(pod["y"].truncated(5), pod["u"].truncated(5),
                                 pod["p"].truncated(5), W, ctx.ever_active,
                                 mesh.dof_count)
-        cand = cut_candidates(mesh, 0.4, 0.5)
         models = {}
         for comp in "AMbc":
             db = deim_basis(opsnaps[comp], eps=0.0)
             models[comp] = model_from_snapshots(db, min(5, db.m),
-                                                opsnaps[comp], mesh, ft,
-                                                cand)
-        rom = precompute_reduced_terms(basis, models, ctx, case.alpha)
-        samples = [rom_solve(rom, 0.45).timings["total_excl_lift"]
-                   for _ in range(11)]
-        times[h] = float(np.median(samples))
+                                                opsnaps[comp], ctx)
+        roms[h] = precompute_reduced_terms(basis, models, ctx, case.alpha)
+    # both sizes timed interleaved, so that load changes hit them alike
+    samples = {h: [] for h in roms}
+    for rom in roms.values():
+        rom_solve(rom, 0.45)            # warm caches and lazy allocations
+    for _ in range(11):
+        for h, rom in roms.items():
+            samples[h].append(rom_solve(rom, 0.45).timings["total_excl_lift"])
+    times = {h: float(np.median(t)) for h, t in samples.items()}
     ratio = times[0.1] / times[0.2]
     assert ratio < 2.0, times
 
@@ -242,12 +242,10 @@ def paper_rom():
     basis = aggregate_basis(*(pod[v].truncated(pod[v].retained)
                               for v in ("y", "u", "p")), W, ctx.ever_active,
                             mesh.dof_count)
-    cand = cut_candidates(mesh, 0.4, 0.5)
     models = {}
     for comp in "AMbc":
         db = deim_basis(opsnaps[comp], eps=1e-10)
-        models[comp] = model_from_snapshots(db, db.m, opsnaps[comp], mesh,
-                                            ft, cand)
+        models[comp] = model_from_snapshots(db, db.m, opsnaps[comp], ctx)
     return ctx, precompute_reduced_terms(basis, models, ctx, case.alpha)
 
 
@@ -267,8 +265,8 @@ def test_fused_theta_is_exact(paper_rom):
                  "c": ops.c}
         parts = fused.split(fused.theta(float(mu)))
         for comp, model, part in zip("AMbc", models, parts):
-            sel = model.indices if model.pattern is not None else model.pairs
-            assert np.array_equal(part, exact[comp][sel]), (comp, mu)
+            assert np.array_equal(part, exact[comp][model.indices]), \
+                (comp, mu)
             assert np.array_equal(part, rom.assemblers[comp].theta(mu))
 
 

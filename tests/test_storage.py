@@ -128,3 +128,8 @@ def test_config_validation():
         validate_config(RunConfig(stages="rom"))
     with pytest.raises(ConfigError):
         validate_config(RunConfig(eps_pod=1.5))
+    with pytest.raises(ConfigError, match="nope"):
+        validate_config(RunConfig(case="nope"))
+    for mu_min in (-0.1, 0.0):
+        with pytest.raises(ConfigError, match="0 < mu_min"):
+            validate_config(RunConfig(mu_min=mu_min))
