@@ -26,6 +26,21 @@ free control component that enters no equation; it is set to zero, as is
 every component outside the active mesh.  The pinned 3N system stays
 available as ``KktSystem.matrix`` and ``.rhs``, built on first access, and
 the solve checks its residual one block row at a time without forming it.
+
+The LU uses a symmetric fill-reducing ordering (minimum degree on the
+pattern of K + K^T) and takes every pivot on the diagonal, with no row
+interchanges.  This is sound: the Hermitian part of -iK is s A_aa, which
+is symmetric positive definite, so x^H (-i P^T K P) x has a positive real
+part for every x != 0 and every permutation P.  Every principal submatrix
+of every symmetric permutation of K is therefore nonsingular, and an LU
+without pivoting exists in exact arithmetic (Axelsson & Kucherov, Numer.
+Linear Algebra Appl. 7, 2000, for the complex form).  Higham (Math. Comp.
+67, 1998) bounds its growth factor when the real and imaginary parts are
+both definite; M_aa is only semidefinite, and singular wherever there are
+free controls, so that bound does not strictly apply here, and the 3N
+residual check stays the guard against a growth it would miss.  An
+exactly zero pivot (an empty row) is reported by SuperLU and raised as a
+``NumericalError``.
 """
 
 from __future__ import annotations
@@ -159,11 +174,15 @@ def _residual(system: KktSystem, y, u, p) -> float:
 
 
 def solve_kkt(system: KktSystem) -> FullSolution:
-    """Sparse LU solve of the condensed system with a check of the relative
-    residual of the 3N system."""
+    """Sparse LU solve of the condensed system (symmetric ordering,
+    diagonal pivots) with a check of the relative residual of the 3N
+    system."""
     t0 = time.perf_counter()
     try:
-        w = spla.splu(system.condensed).solve(system.condensed_rhs)
+        lu = spla.splu(system.condensed, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+        w = lu.solve(system.condensed_rhs)
     except RuntimeError as exc:  # SuperLU reports the failing pivot
         raise NumericalError(
             f"singular optimality system at mu={system.mu}: {exc}") from exc

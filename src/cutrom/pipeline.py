@@ -33,7 +33,7 @@ from .deim import COMPONENTS, DeimModel, OperatorSnapshots, \
     PartialAssembler, deim_basis, model_from_snapshots, spectral_norm, \
     truncate_model
 from .errors import ConfigError, NumericalError
-from .kkt import assemble_kkt, solve_kkt
+from .kkt import FullSolution, assemble_kkt, solve_kkt
 # cut_candidates is not called here; perfbench/tracing.py wraps it by name
 from .levelset import LevelSetSquare, classify_elements, cut_candidates
 from .mesh import BackgroundMesh, build_background_mesh, build_face_table
@@ -48,6 +48,9 @@ CENTER = (1.0, 1.0)
 MODES_SWEEP = (1, 2, 3, 5, 9, 15, 25)
 DEIM_SWEEP = (1, 2, 5, 10, 15, 20, 25, 30, 35, 40)
 TIMING_REPEATS = 11
+# mean relative error of the ROM at stored training parameters that
+# ``verify`` accepts: the error level of acceptance criterion 5
+ROM_TRAINING_TOL = 2e-2
 MANIFEST_FORMAT = 3
 VARS = ("y", "u", "p")
 
@@ -691,4 +694,23 @@ def run_verify(cfg: RunConfig, out_dir=None):
                        f"max deviation {dev:.3e}"))
         distinct = np.unique(model.indices).size == model.m
         checks.append((f"deim_indices_distinct_{comp}", distinct, ""))
+
+    # the ROM must reproduce its own snapshots at the smallest, median and
+    # largest training parameter (stored sorted); M(mu) is the norm of the
+    # active mesh at mu, where the lift can be trusted
+    params, snaps = bundle.params, bundle.snapshots
+    errs = []
+    for k in (0, params.size // 2, params.size - 1):
+        mu = float(params[k])
+        stored = np.zeros((3, bundle.mesh.dof_count))
+        stored[:, bundle.ctx.ever_active] = \
+            snaps.S_y[:, k], snaps.S_u[:, k], snaps.S_p[:, k]
+        M = assemble_operators(bundle.ctx, mu, CENTER).M
+        errs.append(relative_error(FullSolution(*stored, mu, float("nan")),
+                                   rom_solve(bundle.rom, mu), M)[0])
+    mean = np.mean(errs, axis=0)
+    checks.append(("rom_reproduces_training_snapshots",
+                   bool(np.all(mean <= ROM_TRAINING_TOL)),
+                   "mean rel err y/u/p "
+                   + " ".join(f"{e:.3e}" for e in mean)))
     return checks

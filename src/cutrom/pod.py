@@ -193,7 +193,18 @@ class AggregatedBasis:
         return x[:nyp], x[nyp:nyp + nu], x[nyp + nu:]
 
     def lift(self, y_N, u_N, p_N):
-        """Full-length fields, zero outside ``dofs``."""
+        """Full-length fields, zero outside ``dofs``.
+
+        Only the DOFs of the active mesh at mu carry the reduced solution.
+        The lift is zero outside the ever-active set ``dofs``, but on the
+        ever-active DOFs outside the active mesh at mu it returns the POD
+        modes extrapolated there, where the truth solution is zero.  At
+        the default config and mu = 0.4 those 96 DOFs hold all of the
+        W-norm difference from the truth solution, 0.18 / 0.064 / 0.65 of
+        the W-norm of y / u / p, while the M(mu)-norm errors are at most
+        8e-4.  Compare lifted fields in the M(mu) norm of the active mesh,
+        as ``relative_error`` does, or restrict them to its DOFs.
+        """
         full = np.zeros((3, self.n))
         full[0, self.dofs] = self.V_yp @ y_N
         full[1, self.dofs] = self.V_u @ u_N

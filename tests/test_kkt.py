@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from cutrom import ParametricOperators, RunConfig, assemble_kkt, \
-    assemble_operators, solve_kkt
+    assemble_operators, kkt, solve_kkt
 from cutrom.kkt import RESIDUAL_TOL
 from cutrom.pipeline import CENTER, build_problem
 from cutrom.errors import NumericalError
@@ -301,4 +301,47 @@ def test_nonsymmetric_stiffness_fails_loudly():
                               active_dofs=np.arange(2),
                               a_values=np.zeros(1), m_values=np.zeros(1))
     with pytest.raises(NumericalError, match="residual"):
+        solve_kkt(assemble_kkt(ops, alpha=1.0))
+
+
+def test_pivot_free_lu_on_mesh_aligned_mu(default_problem, monkeypatch):
+    # a square whose edges lie on mesh lines leaves active DOFs with empty
+    # mass rows (free controls), so M_aa is singular; the factorization
+    # must still take every pivot on the diagonal and solve exactly
+    (mesh, _, case, ctx, _), mus = default_problem
+    aligned = [float(mu) for mu in CENTER[0] - np.unique(mesh.vertices[:, 0])
+               if 0.4 <= mu <= 0.5]
+    assert len(aligned) == {29: 2, 116: 5}[mesh.n_cells[0]]
+    factors = []
+    splu = kkt.spla.splu
+
+    def recording_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(kkt.spla, "splu", recording_splu)
+    for mu in (*mus, *aligned):
+        ops = assemble_operators(ctx, mu, CENTER)
+        system = assemble_kkt(ops, case.alpha)
+        if mu in aligned:
+            assert system.free_controls.size > 0
+        factors.clear()
+        sol = solve_kkt(system)
+        assert len(factors) == 1
+        assert np.array_equal(factors[0].perm_r, factors[0].perm_c)
+        assert sol.residual <= RESIDUAL_TOL
+        for new, old in zip((sol.y, sol.u, sol.p),
+                            real_condensed_solve(ops, case.alpha)):
+            assert np.abs(new - old).max() <= 1e-10 * np.abs(old).max()
+
+
+def test_empty_active_row_is_singular():
+    # DOF 1 is active but has no stiffness or mass entry: the condensed
+    # matrix has a zero row and column, for which no pivot exists
+    n = 3
+    mat = sp.csr_matrix((np.ones(2), [0, 2], [0, 1, 1, 2]), shape=(n, n))
+    ops = ParametricOperators(mu=0.0, A=mat, M=mat.copy(), b=np.ones(n),
+                              c=np.ones(n), active_dofs=np.arange(n),
+                              a_values=np.zeros(1), m_values=np.zeros(1))
+    with pytest.raises(NumericalError, match="singular optimality system"):
         solve_kkt(assemble_kkt(ops, alpha=1.0))

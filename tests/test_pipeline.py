@@ -14,7 +14,7 @@ from cutrom.pipeline import sample_test_parameters
 from cutrom.cli import main as cli_main
 from cutrom.errors import ConfigError
 from cutrom.pod import energy_cutoff
-from cutrom.storage import load_matrix, read_csv
+from cutrom.storage import load_matrix, read_csv, save_matrix
 
 TINY = dict(h_target=0.3, m_train=5, m_test=4, seed=5, pod_store=5)
 
@@ -249,6 +249,21 @@ def test_verify_passes_on_bundle(tiny_bundle):
     checks = run_verify(tiny_bundle["cfg"])
     failed = [c for c in checks if not c[1]]
     assert not failed, failed
+
+
+def test_verify_fails_on_rom_that_misses_its_snapshots(tmp_path, capsys):
+    # doubled state snapshots leave the stored POD bases, and so the ROM,
+    # as they were: only the snapshot check can see the mismatch
+    out = tmp_path / "bundle"
+    cfg_path = _write_cfg(tmp_path, **TINY, out_dir=str(out))
+    assert cli_main(["offline", "--config", str(cfg_path)]) == 0
+    save_matrix(out / "snap_y.romb", 2.0 * load_matrix(out / "snap_y.romb"))
+    capsys.readouterr()
+    assert cli_main(["verify", "--config", str(cfg_path)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if not line.startswith("PASS ")]
+    assert len(lines) > 1 and len(failed) == 1
+    assert failed[0].startswith("FAIL rom_reproduces_training_snapshots ")
 
 
 def test_mu_range_must_fit_box():
