@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .errors import ConfigError, NumericalError
 from .pipeline import run_offline, run_online, run_verify
-from .storage import parse_config, read_csv
+from .storage import parse_config, read_csv, validate_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,6 +82,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
+            validate_config(cfg)
         out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
         if args.command == "offline":
             run_offline(cfg, out_dir)

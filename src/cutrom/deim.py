@@ -51,14 +51,13 @@ class OperatorSnapshots:
 class DeimBasis:
     """Euclidean POD of an operator snapshot family."""
 
-    U: np.ndarray                  # (n_rows, n_stored)
+    U: np.ndarray                  # (n_rows, m)
     eigenvalues: np.ndarray        # (M,) non-increasing
     m: int                         # energy cutoff at the build tolerance
     tolerance: float
 
 
-def deim_basis(snaps: OperatorSnapshots, eps: float,
-               min_stored: int = 0) -> DeimBasis:
+def deim_basis(snaps: OperatorSnapshots, eps: float) -> DeimBasis:
     """Method of snapshots in the Euclidean inner product."""
     from .pod import energy_cutoff
 
@@ -78,11 +77,10 @@ def deim_basis(snaps: OperatorSnapshots, eps: float,
     rank_tol = lam[0] * m_snap * np.finfo(float).eps
     n_pos = int(np.sum(lam > rank_tol))
     m = min(energy_cutoff(lam, eps), n_pos)
-    n_store = min(max(m, min_stored), n_pos)
-    U = S @ X[:, :n_store]
-    U /= np.sqrt(m_snap * lam[:n_store])
+    U = S @ X[:, :m]
+    U /= np.sqrt(m_snap * lam[:m])
     # Gram-Schmidt polish: trailing modes sit near the eigensolver noise floor
-    for j in range(n_store):
+    for j in range(m):
         v = U[:, j]
         for _ in range(2):
             v -= U[:, :j] @ (U[:, :j].T @ v)
@@ -209,11 +207,19 @@ class DeimModel:
     def m(self) -> int:
         return self.indices.size
 
+    def interpolate(self, theta: np.ndarray, ctx: AssemblyContext):
+        """Full interpolatory reconstruction from the entries ``theta`` at
+        the indices: a matrix storing the kept entries, or a full-length
+        vector."""
+        values = self.projector @ theta
+        if self.component in ("b", "c"):
+            return ctx.expand(self.component, values)
+        return ctx.full_matrix(self.component, values)
+
 
 def make_deim_model(U: np.ndarray, eigenvalues: np.ndarray, m: int,
                     component: str, ctx: AssemblyContext) -> DeimModel:
     """Select indices for the first m modes and detect the reduced mesh."""
-    m = min(m, U.shape[1])
     local, projector = deim_select(U[:, :m])
     indices = ctx.kept[component][local]
     pattern = ctx.patterns[component]
@@ -317,14 +323,9 @@ class PartialAssembler:
         return np.split(theta, self.offsets[1:-1])
 
     def reconstruct(self, mu: float):
-        """Full interpolatory reconstruction of a one-model assembler: a
-        matrix storing the model's kept entries, or a full-length vector."""
+        """``DeimModel.interpolate`` of a one-model assembler's theta."""
         (model,) = self.models
-        theta = self.theta(mu)
-        if model.component in ("b", "c"):
-            return self.projector_apply(theta)
-        return self.ctx.full_matrix(model.component,
-                                    model.projector @ theta)
+        return model.interpolate(self.theta(mu), self.ctx)
 
     def projector_apply(self, theta: np.ndarray) -> np.ndarray:
         """Full pattern values (or DOF vector) interpolated from theta."""

@@ -29,9 +29,8 @@ import scipy.sparse as sp
 
 from .assembly import AssemblyContext, assemble_operators, \
     box_mass_matrix, get_case
-from .deim import COMPONENTS, DeimModel, OperatorSnapshots, \
-    PartialAssembler, deim_basis, model_from_snapshots, spectral_norm, \
-    truncate_model
+from .deim import COMPONENTS, DeimModel, OperatorSnapshots, deim_basis, \
+    model_from_snapshots, spectral_norm, truncate_model
 from .errors import ConfigError, NumericalError
 from .kkt import FullSolution, assemble_kkt, solve_kkt
 # cut_candidates is not called here; perfbench/tracing.py wraps it by name
@@ -39,7 +38,8 @@ from .levelset import LevelSetSquare, classify_elements, cut_candidates
 from .mesh import BackgroundMesh, build_background_mesh, build_face_table
 from .pod import AggregatedBasis, PodBasis, SnapshotSet, aggregate_basis, \
     pod_basis, sample_parameters
-from .rom import RomModel, precompute_reduced_terms, relative_error, rom_solve
+from .rom import RomModel, precompute_reduced_terms, relative_error, \
+    rom_solve, rom_solve_theta
 from .storage import STAGES, RunConfig, config_echo, load_index_list, \
     load_matrix, parse_config, save_index_list, save_matrix, \
     selected_stages, write_csv
@@ -473,121 +473,94 @@ def _norm(comp: str, x) -> float:
         else float(np.linalg.norm(x))
 
 
-def _component_error(model: DeimModel, assembler: PartialAssembler,
-                     mu: float, exact, exact_norm: float) -> float:
-    return _norm(model.component, assembler.reconstruct(mu) - exact) \
-        / exact_norm
-
-
-def _exact_component(ops, comp: str):
-    return {"A": ops.A, "M": ops.M, "b": ops.b, "c": ops.c}[comp]
-
-
 def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
                deim_dims: dict[str, int] | None = None) -> dict:
-    """Full-vs-ROM assessment on a fresh test sample; writes the reports."""
+    """Full-vs-ROM assessment on a fresh test sample; writes the reports.
+
+    One pass over the test sample: each parameter gets one truth solve and
+    one fused partial assembly theta of the stored DEIM models.  Greedy
+    DEIM indices are nested, so a model truncated to m modes interpolates
+    from the first m entries of its component's theta; every DEIM error
+    and every reduced solve of the report reads that one theta.
+    """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     bundle = load_bundle(out, cfg)
-    ctx = bundle.ctx
+    ctx, stored, dims = bundle.ctx, bundle.deim_models, deim_dims or {}
+    for comp, m in dims.items():
+        if m > stored[comp].m:
+            raise ConfigError(f"--deim-dims asks {m} modes of {comp}, whose "
+                              f"stored DEIM dimension is {stored[comp].m}")
+    # the ROM's models, then a truncation for every other (component, m)
+    # of the DEIM_SWEEP rows
+    own = {comp: truncate_model(stored[comp], dims[comp], ctx)
+           if comp in dims else stored[comp] for comp in COMPONENTS}
+    models = {(comp, model.m): model for comp, model in own.items()}
+    sweep = [(comp, m) for comp in COMPONENTS for m in DEIM_SWEEP
+             if m <= stored[comp].m]
+    for comp, m in sweep:
+        if (comp, m) not in models:
+            models[comp, m] = truncate_model(stored[comp], m, ctx)
 
     rom = bundle.rom
     if modes is not None or deim_dims:
-        models = {comp: truncate_model(model, deim_dims[comp], ctx)
-                  if comp in (deim_dims or {}) else model
-                  for comp, model in bundle.deim_models.items()}
         basis = bundle.basis if modes is None \
             else _aggregated(bundle.pod, ctx, bundle.W, modes)
-        rom = precompute_reduced_terms(basis, models, ctx, cfg.alpha)
+        rom = precompute_reduced_terms(basis, own, ctx, cfg.alpha)
+    # error decay versus per-variable POD truncation, DEIM dims fixed;
+    # variables with fewer stored modes than k use all they have
+    sweep_roms = [precompute_reduced_terms(
+        _aggregated(bundle.pod, ctx, bundle.W, k), stored, ctx, cfg.alpha)
+        for k in MODES_SWEEP]
 
     mus = sample_test_parameters(cfg)
-    full_solutions = []
-    all_ops = []
-    error_rows = []
-    norms = {comp: [] for comp in COMPONENTS}   # exact-operator norms
-    comp_errors = {comp: [] for comp in COMPONENTS}
-    pivot_ratios = []
-    for mu in mus:
-        ops = assemble_operators(ctx, float(mu), CENTER)
+    fused = bundle.rom.assembler
+    error_rows, deim_errs, residuals, pivot_ratios = [], [], [], []
+    sweep_errs = np.zeros((len(MODES_SWEEP), mus.size, 3))
+    for i, mu in enumerate(mus.tolist()):
+        ops = assemble_operators(ctx, mu, CENTER)
         full = solve_kkt(assemble_kkt(ops, cfg.alpha))
-        sol = rom_solve(rom, float(mu))
-        pivot_ratios.append(sol.pivot_ratio)
-        errs, _ = relative_error(full, sol, ops.M)
-        for comp, model in rom.deim.items():
-            exact = _exact_component(ops, comp)
-            norms[comp].append(_norm(comp, exact))
-            comp_errors[comp].append(_component_error(
-                model, rom.assemblers[comp], float(mu), exact,
-                norms[comp][-1]))
-        error_rows.append((mu, *errs,
-                           *(comp_errors[c][-1] for c in COMPONENTS)))
-        full_solutions.append(full)
-        all_ops.append(ops)
+        theta = dict(zip(COMPONENTS, fused.split(fused.theta(mu))))
 
+        exact = {"A": ops.A, "M": ops.M, "b": ops.b, "c": ops.c}
+        norms = {comp: _norm(comp, exact[comp]) for comp in COMPONENTS}
+        deim_errs.append({
+            (comp, m): _norm(comp, model.interpolate(theta[comp][:m], ctx)
+                             - exact[comp]) / norms[comp]
+            for (comp, m), model in models.items()})
+
+        sol = rom_solve_theta(rom, mu, [theta[c][:own[c].m]
+                                        for c in COMPONENTS])
+        errs, _ = relative_error(full, sol, ops.M)
+        error_rows.append((mu, *errs, *(deim_errs[-1][c, own[c].m]
+                                        for c in COMPONENTS)))
+        for j, rom_k in enumerate(sweep_roms):
+            sol_k = rom_solve_theta(rom_k, mu, theta.values())
+            sweep_errs[j, i], _ = relative_error(full, sol_k, ops.M)
+        residuals.append(full.residual)
+        pivot_ratios.append(sol.pivot_ratio)
+
+    deim_rows = [(comp, m, float(np.mean([e[comp, m] for e in deim_errs])))
+                 for comp, m in sweep]
+    sweep_rows = [(k, rom_k.reduced_dim, *errs.mean(axis=0))
+                  for k, rom_k, errs in zip(MODES_SWEEP, sweep_roms,
+                                            sweep_errs)]
     with _output_lock(out):
         write_csv(out / "online_errors.csv",
                   ["mu", "err_y", "err_u", "err_p", "deim_err_A",
                    "deim_err_M", "deim_err_b", "deim_err_c"], error_rows)
-
-        deim_rows = _deim_sweep(bundle, rom, all_ops, mus, norms, comp_errors)
         write_csv(out / "deim_errors.csv",
                   ["component", "m", "mean_rel_error"], deim_rows)
-
-        sweep_rows = _modes_sweep(bundle, full_solutions, all_ops, mus)
         write_csv(out / "modes_sweep.csv",
                   ["modes_per_variable", "reduced_dim", "mean_err_y",
                    "mean_err_u", "mean_err_p"], sweep_rows)
 
         timing_rows = _timing_report(bundle, rom, mus[0])
-        timing_rows.append(("full_residual_max",
-                            max(full.residual for full in full_solutions)))
+        timing_rows.append(("full_residual_max", max(residuals)))
         timing_rows.append(("rom_pivot_ratio_min", min(pivot_ratios)))
         write_csv(out / "timings.csv", ["name", "value"], timing_rows)
 
     return {"test_params": mus, "errors": error_rows, "deim": deim_rows,
             "modes": sweep_rows, "timings": dict(timing_rows)}
-
-
-def _deim_sweep(bundle: OfflineBundle, rom: RomModel, all_ops, mus, norms,
-                errors):
-    """Mean reconstruction error per component over a grid of dimensions.
-
-    ``norms`` and ``errors`` hold the exact-operator norms and the errors
-    of ``rom.deim`` per component and test parameter; the row of each
-    component's own dimension is the mean of its errors.
-    """
-    rows = []
-    for comp in COMPONENTS:
-        model = bundle.deim_models[comp]
-        exact = [_exact_component(ops, comp) for ops in all_ops]
-        for m in DEIM_SWEEP:
-            if m > model.m:
-                continue
-            if m == rom.deim[comp].m:
-                errs = errors[comp]
-            else:
-                sub = truncate_model(model, m, bundle.ctx)
-                asm = PartialAssembler(sub, bundle.ctx)
-                errs = [_component_error(sub, asm, float(mu), e, nz)
-                        for mu, e, nz in zip(mus, exact, norms[comp])]
-            rows.append((comp, m, float(np.mean(errs))))
-    return rows
-
-
-def _modes_sweep(bundle: OfflineBundle, full_solutions, all_ops, mus):
-    """Error decay versus per-variable POD truncation, DEIM dims fixed."""
-    rows = []
-    for k in MODES_SWEEP:
-        # variables with fewer stored modes than k use all they have
-        basis_k = _aggregated(bundle.pod, bundle.ctx, bundle.W, k)
-        rom_k = precompute_reduced_terms(basis_k, bundle.deim_models,
-                                         bundle.ctx, bundle.cfg.alpha)
-        errs = np.zeros((len(mus), 3))
-        for i, mu in enumerate(mus):
-            sol = rom_solve(rom_k, float(mu))
-            errs[i], _ = relative_error(full_solutions[i], sol, all_ops[i].M)
-        mean = errs.mean(axis=0)
-        rows.append((k, basis_k.reduced_dim, mean[0], mean[1], mean[2]))
-    return rows
 
 
 def _timing_report(bundle: OfflineBundle, rom: RomModel, mu0: float):

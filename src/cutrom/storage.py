@@ -167,12 +167,17 @@ def validate_config(cfg: RunConfig) -> None:
                           + ",".join(sorted(CASES)))
     if not 0 < cfg.mu_min < cfg.mu_max:
         raise ConfigError("need 0 < mu_min < mu_max")
+    if not (cfg.box_min_x < cfg.box_max_x and cfg.box_min_y < cfg.box_max_y):
+        raise ConfigError("need box_min_x < box_max_x and "
+                          "box_min_y < box_max_y")
     if cfg.h_target <= 0:
         raise ConfigError("h_target must be positive")
     if cfg.m_train < 2:
         raise ConfigError("m_train must be at least 2")
     if cfg.m_test < 1:
         raise ConfigError("m_test must be at least 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be non-negative")
     if min(cfg.alpha, cfg.gamma_d, cfg.gamma_1) <= 0:
         raise ConfigError("alpha, gamma_d, gamma_1 must be positive")
     if not (0 <= cfg.eps_pod < 1 and 0 <= cfg.eps_deim < 1):

@@ -36,6 +36,30 @@ def default_problem(request):
     return build_problem(RunConfig(h_target=request.param)), mus
 
 
+@pytest.fixture(scope="session")
+def paper_rom():
+    """ROM at the paper resolution from 30 training parameters; at h = 0.09,
+    mu = 0.4034487 puts a side of the square almost on a mesh line."""
+    from cutrom import aggregate_basis, deim_basis, pod_basis, \
+        precompute_reduced_terms, sample_parameters, training_sweep
+    from cutrom.deim import model_from_snapshots
+
+    cfg = RunConfig(h_target=0.09, seed=5)
+    mesh, ft, case, ctx, W = build_problem(cfg)
+    params = sample_parameters(0.4, 0.5, 30, seed=5)
+    snaps, opsnaps = training_sweep(params, ctx, W)
+    pod = {v: pod_basis(getattr(snaps, f"S_{v}"), W, 1e-5)
+           for v in ("y", "u", "p")}
+    basis = aggregate_basis(*(pod[v].truncated(pod[v].retained)
+                              for v in ("y", "u", "p")), W, ctx.ever_active,
+                            mesh.dof_count)
+    models = {}
+    for comp in "AMbc":
+        db = deim_basis(opsnaps[comp], eps=1e-10)
+        models[comp] = model_from_snapshots(db, db.m, opsnaps[comp], ctx)
+    return ctx, precompute_reduced_terms(basis, models, ctx, case.alpha)
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)

@@ -4,7 +4,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cutrom import AggregatedBasis, AssemblyContext, ParametricOperators
+from cutrom import AggregatedBasis, AssemblyContext, ParametricOperators, \
+    assemble_operators
+from cutrom.deim import PartialAssembler, spectral_norm, truncate_model
 from cutrom.errors import PatternOverflowError
 from cutrom.levelset import CUT, INSIDE, OUTSIDE, SNAP_REL, LevelSetSquare, \
     SubsetGeometry, _clip_polygon, _interpolant_gradients, _midpoint_rule, \
@@ -365,3 +367,39 @@ def sliced_condensed(ops: ParametricOperators, alpha: float) -> sp.csc_matrix:
     return sp.csc_matrix(
         (data, (np.concatenate([M_aa.row, A_aa.row]),
                 np.concatenate([M_aa.col, A_aa.col]))), shape=M_aa.shape)
+
+
+def report_deim_errors(bundle, mus, deim_dims=None):
+    """The DEIM errors of ``run_online`` through one ``PartialAssembler``
+    and its ``reconstruct`` per component and dimension: the ``deim_err_*``
+    columns (a list per component) and the ``deim_errors.csv`` rows.  The
+    row of the ROM's own dimension is the mean of its column."""
+    from cutrom.pipeline import DEIM_SWEEP
+
+    ctx, dims = bundle.ctx, deim_dims or {}
+    ops = [assemble_operators(ctx, float(mu)) for mu in mus]
+
+    def errors(model):
+        asm = PartialAssembler(model, ctx)
+        errs = []
+        for mu, o in zip(mus, ops):
+            exact = {"A": o.A, "M": o.M, "b": o.b, "c": o.c}[model.component]
+            diff = asm.reconstruct(float(mu)) - exact
+            if model.component in ("A", "M"):
+                errs.append(spectral_norm(diff) / spectral_norm(exact))
+            else:
+                errs.append(float(np.linalg.norm(diff))
+                            / float(np.linalg.norm(exact)))
+        return errs
+
+    columns, rows = {}, []
+    for comp, model in bundle.deim_models.items():
+        own = truncate_model(model, dims[comp], ctx) if comp in dims \
+            else model
+        columns[comp] = errors(own)
+        for m in DEIM_SWEEP:
+            if m <= model.m:
+                errs = columns[comp] if m == own.m \
+                    else errors(truncate_model(model, m, ctx))
+                rows.append((comp, m, float(np.mean(errs))))
+    return columns, rows

@@ -224,6 +224,26 @@ def test_selected_entries_bitwise_exact(deim_models, coarse_problem):
             assert np.array_equal(theta, ref)
 
 
+def test_truncated_theta_is_prefix_of_fused_theta(paper_rom):
+    # greedy indices are nested, so a model truncated to m modes selects the
+    # first m indices, and its partial assembly gives the first m entries of
+    # the stored model's part of the fused theta; the online report reads
+    # every DEIM error and reduced solve from that one theta
+    ctx, rom = paper_rom
+    fused = rom.assembler
+    mus = (0.4, 0.5, 0.4034487,
+           *np.random.default_rng(9).uniform(0.4, 0.5, 3).tolist())
+    parts = [dict(zip("AMbc", fused.split(fused.theta(mu)))) for mu in mus]
+    for comp, model in rom.deim.items():
+        for m in range(1, model.m):
+            sub = truncate_model(model, m, ctx)
+            assert np.array_equal(sub.indices, model.indices[:m]), (comp, m)
+            asm = PartialAssembler(sub, ctx)
+            for mu, part in zip(mus, parts):
+                assert np.array_equal(asm.theta(mu), part[comp][:m]), \
+                    (comp, m, mu)
+
+
 def test_error_decay_with_dimension(deim_models, coarse_problem):
     ctx = coarse_problem["ctx"]
     mus = np.linspace(0.403, 0.497, 7)

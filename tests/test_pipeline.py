@@ -187,6 +187,74 @@ def test_deim_sweep_row_of_model_dimension_is_main_loop_mean(tiny_bundle,
     assert checked == set(dims) and truncated == []
 
 
+def test_deim_dims_above_stored_dimension_exit_2(tiny_bundle, tmp_path,
+                                                 capsys, monkeypatch):
+    from cutrom import pipeline
+
+    stored = tiny_bundle["bundle"].deim_models["A"].m
+    cfg_path = _write_cfg(tmp_path, **TINY, out_dir=str(tiny_bundle["out"]))
+    assembled = []
+    monkeypatch.setattr(pipeline, "assemble_operators",
+                        lambda *a, **k: assembled.append(a))
+    assert cli_main(["online", "--config", str(cfg_path), "--deim-dims",
+                     f"{stored + 1},1,1,1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{stored + 1} modes of A" in err and f"is {stored}" in err
+    assert assembled == []
+
+
+@pytest.mark.parametrize("override", [False, True],
+                         ids=["stored", "deim_dims"])
+def test_report_deim_errors_match_per_model_reconstruction(
+        tiny_bundle, tmp_path, override):
+    # every DEIM error of the report is read from one fused theta per test
+    # parameter; one reconstruct per component, dimension and parameter
+    # gives the same bytes, also under --deim-dims with one dimension at
+    # its stored value
+    import shutil
+
+    from oracles import report_deim_errors
+
+    out = tmp_path / "copy"
+    shutil.copytree(tiny_bundle["out"], out)
+    # loaded as run_online loads it: the projectors an offline run returns
+    # are in Fortran order and their products round differently
+    bundle = load_bundle(out, tiny_bundle["cfg"])
+    stored = {c: model.m for c, model in bundle.deim_models.items()}
+    dims = None
+    if override:
+        dims = {c: max(m - 1, 1) for c, m in stored.items()}
+        dims["A"] = stored["A"]
+        assert dims != stored
+    result = run_online(tiny_bundle["cfg"], out, deim_dims=dims)
+    columns, deim_rows = report_deim_errors(bundle, result["test_params"],
+                                            dims)
+    header, rows = read_csv(out / "online_errors.csv")
+    for comp in "AMbc":
+        col = header.index(f"deim_err_{comp}")
+        assert [float(row[col]) for row in rows] == columns[comp], comp
+    _, csv_rows = read_csv(out / "deim_errors.csv")
+    assert [(c, int(m), float(v)) for c, m, v in csv_rows] == deim_rows
+
+
+def test_online_assembles_one_theta_per_test_parameter(tiny_bundle,
+                                                       monkeypatch):
+    from cutrom import pipeline
+    from cutrom.deim import PartialAssembler
+
+    calls = []
+    theta = PartialAssembler.theta
+    monkeypatch.setattr(PartialAssembler, "theta",
+                        lambda self, mu: calls.append(mu) or theta(self, mu))
+    run_online(tiny_bundle["cfg"])
+    # beyond one per test parameter, the timing report's: a warm-up and the
+    # timed rom_solve calls, and the timed reconstruct calls of each
+    # component (56 at 11 repeats)
+    repeats = pipeline.TIMING_REPEATS
+    assert len(calls) == tiny_bundle["cfg"].m_test + repeats + 1 \
+        + 4 * repeats
+
+
 def test_online_deterministic(tiny_bundle, tmp_path):
     cfg = tiny_bundle["cfg"]
     out = tiny_bundle["out"]
@@ -305,7 +373,12 @@ def test_cli_error_codes(tmp_path, capsys):
         assert cli_main(["online", "--config", str(cfg_path),
                          "--modes", k]) == 2
         assert "--modes" in capsys.readouterr().err
-    for key, value in (("case", "nope"), ("mu_min", "0")):
+    assert cli_main(["offline", "--config", str(cfg_path),
+                     "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    for key, value in (("case", "nope"), ("mu_min", "0"), ("seed", "-1"),
+                       ("box_min_x", "3.0")):
         bad = _write_cfg(tmp_path, h_target=0.3, m_train=4, m_test=2,
                          out_dir=str(tmp_path / "bad"), **{key: value})
         assert cli_main(["offline", "--config", str(bad)]) == 2

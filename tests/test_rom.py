@@ -226,29 +226,6 @@ def test_lifted_fields_live_in_basis_ranges(rom_setup):
             1.0, np.abs(kept).max())
 
 
-@pytest.fixture(scope="module")
-def paper_rom():
-    # h = 0.09: mu = 0.4034487 puts a side of the square almost on a mesh
-    # line
-    from cutrom import RunConfig
-    from cutrom.pipeline import build_problem
-
-    cfg = RunConfig(h_target=0.09, seed=5)
-    mesh, ft, case, ctx, W = build_problem(cfg)
-    params = sample_parameters(0.4, 0.5, 30, seed=5)
-    snaps, opsnaps = training_sweep(params, ctx, W)
-    pod = {v: pod_basis(getattr(snaps, f"S_{v}"), W, 1e-5)
-           for v in ("y", "u", "p")}
-    basis = aggregate_basis(*(pod[v].truncated(pod[v].retained)
-                              for v in ("y", "u", "p")), W, ctx.ever_active,
-                            mesh.dof_count)
-    models = {}
-    for comp in "AMbc":
-        db = deim_basis(opsnaps[comp], eps=1e-10)
-        models[comp] = model_from_snapshots(db, db.m, opsnaps[comp], ctx)
-    return ctx, precompute_reduced_terms(basis, models, ctx, case.alpha)
-
-
 def test_fused_theta_is_exact(paper_rom):
     # one pass over the union of the reduced meshes gives, per component,
     # the entries of a full assembly and of the component's own pass
