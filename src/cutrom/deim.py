@@ -6,10 +6,13 @@ side vectors, compressed by a POD in the Euclidean inner product.  Only the
 entries that can be nonzero (``AssemblyContext.kept``) are stored as rows
 of the snapshots and bases; interpolation indices stay offsets into the
 full pattern or DOF range.  A greedy
-procedure picks one interpolation entry per basis column; online, the
-operators are recovered from a partial assembly on a small reduced mesh
-that covers exactly the selected entries, at a cost independent of the
-full-order dimension.
+procedure picks one interpolation entry per basis column; a partial
+assembly on a small reduced mesh that covers exactly the selected entries
+recovers them at a cost independent of the full-order dimension.  Between
+the breakpoints of the level-set family on the reduced meshes the selected
+entries are smooth in the parameter, so the offline stage tabulates them
+as Chebyshev series (``ThetaTable``); online, a query reads the table and
+assembles only next to a breakpoint.
 
 The layout all of this lives on (patterns, kept rows, the elements that
 can be cut) follows from the mesh and the parameter range and is owned by
@@ -20,9 +23,10 @@ take the context where they need the layout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .assembly import AssemblyContext
 from .errors import NumericalError
@@ -115,7 +119,9 @@ def deim_select(U: np.ndarray):
     B = U[indices, :used]
     if not np.all(np.isfinite(np.linalg.cond(B))):
         raise NumericalError("interpolation system is singular")
-    projector = np.linalg.solve(B.T, U[:, :used].T).T
+    # C order, as a loaded projector has: products with it then round the
+    # same whether the model was built or read back
+    projector = np.ascontiguousarray(np.linalg.solve(B.T, U[:, :used].T).T)
     return indices, projector
 
 
@@ -202,6 +208,7 @@ class DeimModel:
     reduced_elements: np.ndarray
     reduced_facets: np.ndarray
     eigenvalues: np.ndarray
+    table: ThetaTable | None = None    # theta(mu) of this model's entries
 
     @property
     def m(self) -> int:
@@ -240,9 +247,17 @@ def model_from_snapshots(basis: DeimBasis, m: int, snaps: OperatorSnapshots,
 
 def truncate_model(model: DeimModel, m: int,
                    ctx: AssemblyContext) -> DeimModel:
-    """Rebuild a model from the first m stored modes (m <= model.m)."""
-    return make_deim_model(model.U, model.eigenvalues, m, model.component,
-                           ctx)
+    """Rebuild a model from the first m stored modes (m <= model.m).
+
+    Greedy indices are nested, so the truncated model's entries are the
+    first ones of the model and its table is the first columns of the
+    model's table.
+    """
+    sub = make_deim_model(model.U, model.eigenvalues, m, model.component,
+                          ctx)
+    if model.table is None:
+        return sub
+    return replace(sub, table=model.table.columns(0, sub.m))
 
 
 class PartialAssembler:
@@ -318,10 +333,6 @@ class PartialAssembler:
                                        minlength=model.m + 1)[:model.m]
         return theta
 
-    def split(self, theta: np.ndarray) -> list[np.ndarray]:
-        """Per-model views of a concatenated theta."""
-        return np.split(theta, self.offsets[1:-1])
-
     def reconstruct(self, mu: float):
         """``DeimModel.interpolate`` of a one-model assembler's theta."""
         (model,) = self.models
@@ -331,6 +342,152 @@ class PartialAssembler:
         """Full pattern values (or DOF vector) interpolated from theta."""
         (model,) = self.models
         return self.ctx.expand(model.component, model.projector @ theta)
+
+
+# Theta tables.  The level set is phi_0 - 2 mu (``LevelSetSquare``), so
+# every vertex value, and with it every crossing point, is affine in mu.
+# A vertex value vanishes at mu = phi_0 / 2, its breakpoint; between two
+# consecutive breakpoints of the reduced meshes' vertices the
+# classification, the ghost facets and the clipping topology are fixed, and
+# every selected entry is a polynomial in mu (A cubic, M quartic, c of
+# degree 6) or, for b with its sine target, an entire function.
+
+# breakpoints closer than this are one (they differ by rounding); within
+# it of an interval edge theta comes from partial assembly, because vertex
+# values snapped to zero (``SNAP_REL``) give that mu a state of its own
+BREAKPOINT_BAND = 1e-9
+# the first Chebyshev degree tried, and the step to the next: degree 10
+# met THETA_TABLE_TOL for all four components at h = 0.09 and 0.0225
+FIRST_DEGREE, DEGREE_STEP = 10, 2
+# largest Chebyshev degree a table may need.  The polynomial entries need
+# at most 6.  An entry of b is the integral of y_d = sin(2 pi x) / (4 pi)
+# times a hat over pieces whose vertices move with unit speed, so its
+# mu-derivatives grow at most like (2 pi)^n times a polynomial of degree
+# <= 4; the Chebyshev coefficients of such a function on an interval of
+# half-width r decay like 2 (pi r)^n / n!, which at r = 0.05 (the default
+# range as a single interval) falls below eps at n = 11.  With 4 for the
+# polynomial factor and one step to spare: 16.  A family that needs more
+# is not what this table models, and the build raises.
+THETA_DEGREE_CAP = 16
+# largest deviation from partial assembly at the check points, relative to
+# each component's largest entry there: 1e-2 of the 1e-12 bound that
+# acceptance criterion 3 and ``verify`` set on the table path, and above
+# the rounding of theta itself, which no degree removes (up to 2.2e-14 at
+# h = 0.0225 for degrees 8 to 16)
+THETA_TABLE_TOL = 1e-13
+
+
+@dataclass
+class ThetaTable:
+    """Selected entries as Chebyshev series in mu, one per interval.
+
+    The intervals lie between ``edges``: the parameter range's ends and the
+    breakpoints in between.  ``coefs[k, j]`` is the coefficient of T_j on
+    interval k, mapped to [-1, 1], for every column (entry).
+    """
+
+    edges: np.ndarray      # (n + 1,) ascending
+    coefs: np.ndarray      # (n, degree + 1, columns)
+
+    @property
+    def degree(self) -> int:
+        return self.coefs.shape[1] - 1
+
+    def columns(self, lo: int, hi: int) -> ThetaTable:
+        return ThetaTable(self.edges, self.coefs[:, :, lo:hi])
+
+    @classmethod
+    def concatenate(cls, tables) -> ThetaTable:
+        """One table of the columns of ``tables``, which share edges."""
+        edges = tables[0].edges
+        if any(not np.array_equal(t.edges, edges) for t in tables):
+            raise ValueError("theta tables of different intervals")
+        return cls(edges, np.concatenate([t.coefs for t in tables], axis=2))
+
+    def evaluate(self, mu: float, k: int) -> np.ndarray:
+        """The series of interval k at mu.  Chebyshev's recurrence runs
+        elementwise, so any column subset gives the same bits."""
+        lo, hi = self.edges[k], self.edges[k + 1]
+        return chebyshev.chebval((2.0 * mu - lo - hi) / (hi - lo),
+                                 self.coefs[k])
+
+    def __call__(self, mu: float) -> np.ndarray | None:
+        """Theta at mu, or None outside the range and within
+        ``BREAKPOINT_BAND`` of an edge (the range's ends count as edges,
+        as they may be breakpoints too)."""
+        edges = self.edges
+        k = int(np.searchsorted(edges, mu))   # edges[k-1] < mu <= edges[k]
+        if k == 0 or k == edges.size or mu - edges[k - 1] <= BREAKPOINT_BAND \
+                or edges[k] - mu <= BREAKPOINT_BAND:
+            return None
+        return self.evaluate(mu, k - 1)
+
+
+def _interval_edges(asm: PartialAssembler) -> np.ndarray:
+    """Interval edges of a table for the assembler's reduced meshes: the
+    range's ends and the breakpoints strictly between them."""
+    lo, hi = asm.ctx.mu_range
+    phi0 = LevelSetSquare(0.0, asm.ctx.center)(asm.coords.reshape(-1, 2))
+    mus = np.unique(phi0) / 2.0
+    mus = mus[(mus > lo + BREAKPOINT_BAND) & (mus < hi - BREAKPOINT_BAND)]
+    mus = mus[np.diff(mus, prepend=lo) > BREAKPOINT_BAND]
+    return np.concatenate([[lo], mus, [hi]])
+
+
+def theta_deviation(values, ref, offsets) -> float:
+    """Largest deviation of ``values`` from ``ref``, relative to each
+    component's (offsets) largest entry of ``ref``."""
+    return max(float(np.abs(values[lo:hi] - ref[lo:hi]).max()
+                     / (np.abs(ref[lo:hi]).max() + 1e-300))
+               for lo, hi in zip(offsets, offsets[1:]))
+
+
+def build_theta_table(models, ctx: AssemblyContext) -> ThetaTable:
+    """Chebyshev table of the fused theta of ``models`` over the range.
+
+    On every interval between breakpoints, theta is interpolated at the
+    degree + 1 Chebyshev points (first kind, so no node sits on an edge)
+    and checked against partial assembly at three extrema of T_(degree+1),
+    where the first neglected term peaks: the outermost two and the middle
+    one.  The degree rises from ``FIRST_DEGREE`` until every check point
+    meets ``THETA_TABLE_TOL``; past ``THETA_DEGREE_CAP`` the build raises
+    ``NumericalError``.
+    """
+    asm = PartialAssembler(models, ctx)
+    edges = _interval_edges(asm)
+    width = np.diff(edges)
+    for degree in range(FIRST_DEGREE, THETA_DEGREE_CAP + 1, DEGREE_STEP):
+        nodes = np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
+        checks = np.cos(np.pi * np.array([1, (degree + 1) // 2, degree])
+                        / (degree + 1))
+        vander = chebyshev.chebvander(nodes, degree)
+        table = ThetaTable(edges, np.empty((width.size, degree + 1,
+                                            asm.offsets[-1])))
+        worst = 0.0
+        for k in range(width.size):
+            mid, half = edges[k] + 0.5 * width[k], 0.5 * width[k]
+            values = np.array([asm.theta(mid + half * t) for t in nodes])
+            table.coefs[k] = np.linalg.solve(vander, values)
+            for t in checks:
+                mu = mid + half * t
+                worst = max(worst, theta_deviation(
+                    table.evaluate(mu, k), asm.theta(mu), asm.offsets))
+        if worst <= THETA_TABLE_TOL:
+            return table
+    raise NumericalError(
+        f"theta table: deviation {worst:.2e} from partial assembly at "
+        f"degree {degree} exceeds {THETA_TABLE_TOL:.0e}")
+
+
+def with_theta_table(models: dict[str, DeimModel],
+                     ctx: AssemblyContext) -> dict[str, DeimModel]:
+    """The models, each with its columns of one table of their fused
+    theta (in ``COMPONENTS`` order)."""
+    ordered = [models[comp] for comp in COMPONENTS]
+    table = build_theta_table(ordered, ctx)
+    offsets = np.cumsum([0] + [model.m for model in ordered])
+    return {model.component: replace(model, table=table.columns(lo, hi))
+            for model, lo, hi in zip(ordered, offsets, offsets[1:])}
 
 
 def spectral_norm(mat, iters: int = 120) -> float:

@@ -29,8 +29,9 @@ import scipy.sparse as sp
 
 from .assembly import AssemblyContext, assemble_operators, \
     box_mass_matrix, get_case
-from .deim import COMPONENTS, DeimModel, OperatorSnapshots, deim_basis, \
-    model_from_snapshots, spectral_norm, truncate_model
+from .deim import COMPONENTS, DeimModel, OperatorSnapshots, ThetaTable, \
+    deim_basis, model_from_snapshots, spectral_norm, theta_deviation, \
+    truncate_model, with_theta_table
 from .errors import ConfigError, NumericalError
 from .kkt import FullSolution, assemble_kkt, solve_kkt
 # cut_candidates is not called here; perfbench/tracing.py wraps it by name
@@ -246,11 +247,16 @@ def _deim_build(s):
         dbasis = deim_basis(opsnaps[comp], cfg.eps_deim)
         models[comp] = model_from_snapshots(dbasis, dbasis.m, opsnaps[comp],
                                             ctx)
-    return {"deim_models": models}
+    return {"deim_models": with_theta_table(models, ctx)}
 
 
 def _deim_save(out: Path, s) -> None:
-    for comp, model in s["deim_models"].items():
+    models = s["deim_models"]
+    save_matrix(out / "deim_theta_edges.romb", models["A"].table.edges)
+    for comp, model in models.items():
+        # (intervals * (degree + 1), m): one interval's series per block
+        save_matrix(out / f"deim_{comp}_theta.romb",
+                    model.table.coefs.reshape(-1, model.m))
         save_matrix(out / f"deim_{comp}_U.romb", model.U)
         save_matrix(out / f"deim_{comp}_proj.romb", model.projector)
         save_matrix(out / f"deim_{comp}_eigs.romb", model.eigenvalues)
@@ -262,15 +268,19 @@ def _deim_save(out: Path, s) -> None:
 
 
 def _deim_load(out: Path, s):
+    edges = load_matrix(out / "deim_theta_edges.romb").ravel()
     models = {}
     for comp in COMPONENTS:
+        coefs = load_matrix(out / f"deim_{comp}_theta.romb")
         models[comp] = DeimModel(
             comp, load_matrix(out / f"deim_{comp}_U.romb"),
             load_index_list(out / f"deim_{comp}_indices.txt"),
             load_matrix(out / f"deim_{comp}_proj.romb"),
             load_index_list(out / f"deim_{comp}_elements.txt"),
             load_index_list(out / f"deim_{comp}_facets.txt"),
-            load_matrix(out / f"deim_{comp}_eigs.romb").ravel())
+            load_matrix(out / f"deim_{comp}_eigs.romb").ravel(),
+            ThetaTable(edges, coefs.reshape(edges.size - 1, -1,
+                                            coefs.shape[1])))
     return {"deim_models": models}
 
 
@@ -478,10 +488,11 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
     """Full-vs-ROM assessment on a fresh test sample; writes the reports.
 
     One pass over the test sample: each parameter gets one truth solve and
-    one fused partial assembly theta of the stored DEIM models.  Greedy
-    DEIM indices are nested, so a model truncated to m modes interpolates
-    from the first m entries of its component's theta; every DEIM error
-    and every reduced solve of the report reads that one theta.
+    one theta of the stored DEIM models, read as ``rom_solve`` reads it
+    (``RomModel.theta``).  Greedy DEIM indices are nested, so a model
+    truncated to m modes interpolates from the first m entries of its
+    component's theta; every DEIM error and every reduced solve of the
+    report reads that one theta.
     """
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     bundle = load_bundle(out, cfg)
@@ -513,13 +524,12 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
         for k in MODES_SWEEP]
 
     mus = sample_test_parameters(cfg)
-    fused = bundle.rom.assembler
     error_rows, deim_errs, residuals, pivot_ratios = [], [], [], []
     sweep_errs = np.zeros((len(MODES_SWEEP), mus.size, 3))
     for i, mu in enumerate(mus.tolist()):
         ops = assemble_operators(ctx, mu, CENTER)
         full = solve_kkt(assemble_kkt(ops, cfg.alpha))
-        theta = dict(zip(COMPONENTS, fused.split(fused.theta(mu))))
+        theta = dict(zip(COMPONENTS, bundle.rom.theta(mu)))
 
         exact = {"A": ops.A, "M": ops.M, "b": ops.b, "c": ops.c}
         norms = {comp: _norm(comp, exact[comp]) for comp in COMPONENTS}
@@ -598,6 +608,8 @@ def _timing_report(bundle: OfflineBundle, rom: RomModel, mu0: float):
         ("speedup_excl_lift", t_full_solve / rom_t["total_excl_lift"]),
         ("speedup_with_assembly",
          (t_full_asm + t_full_solve) / rom_t["total_excl_lift"]),
+        ("theta_table_intervals", rom.table.edges.size - 1),
+        ("theta_table_degree", rom.table.degree),
     ]
     for comp, model in rom.deim.items():
         asm = rom.assemblers[comp]
@@ -667,6 +679,19 @@ def run_verify(cfg: RunConfig, out_dir=None):
                        f"max deviation {dev:.3e}"))
         distinct = np.unique(model.indices).size == model.m
         checks.append((f"deim_indices_distinct_{comp}", distinct, ""))
+
+    # the deployed theta (table, or partial assembly next to a breakpoint)
+    # at every interval's midpoint and the sample parameters
+    rom, table = bundle.rom, bundle.rom.table
+    dev = 0.0
+    for mu in (*(0.5 * (table.edges[:-1] + table.edges[1:])), *sample):
+        dev = max(dev, theta_deviation(np.concatenate(rom.theta(float(mu))),
+                                       rom.assembler.theta(float(mu)),
+                                       rom.assembler.offsets))
+    checks.append(("theta_table_matches_partial_assembly", dev <= 1e-12,
+                   f"max rel deviation {dev:.3e} over "
+                   f"{table.edges.size - 1} intervals at degree "
+                   f"{table.degree}"))
 
     # the ROM must reproduce its own snapshots at the smallest, median and
     # largest training parameter (stored sorted); M(mu) is the norm of the

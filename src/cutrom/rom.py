@@ -2,8 +2,9 @@
 
 Offline, every interpolation mode of the stiffness and mass families is
 projected once onto the aggregated basis; online, a new parameter value
-only requires the interpolation coefficients (from partial assembly on the
-reduced meshes), a weighted sum of the precomputed small matrices and one
+only requires the interpolation coefficients (read from the DEIM models'
+theta table, by partial assembly on the reduced meshes next to a
+breakpoint), a weighted sum of the precomputed small matrices and one
 dense solve.  Nothing in the online path scales with the full-order
 dimension.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -20,7 +22,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import AssemblyContext
-from .deim import COMPONENTS, DeimModel, PartialAssembler
+from .deim import COMPONENTS, DeimModel, PartialAssembler, ThetaTable, \
+    with_theta_table
 from .errors import NumericalError
 from .kkt import FullSolution
 from .pod import AggregatedBasis
@@ -30,8 +33,9 @@ PIVOT_TOL = 1e-14
 
 @dataclass
 class RomModel:
-    """Precomputed reduced terms plus the online assemblers: one per
-    component, and ``assembler`` for all four in one pass."""
+    """Precomputed reduced terms, the fused theta table of the DEIM models
+    and, built on first read, their partial assemblers: one per component,
+    and ``assembler`` for all four in one pass."""
 
     basis: AggregatedBasis
     alpha: float
@@ -42,12 +46,34 @@ class RomModel:
     b_terms: np.ndarray            # (m_b, n_yp)
     c_terms: np.ndarray            # (m_c, n_yp)
     deim: dict[str, DeimModel]
-    assemblers: dict[str, PartialAssembler]
-    assembler: PartialAssembler    # models in COMPONENTS order
+    table: ThetaTable              # columns in COMPONENTS order
+    ctx: AssemblyContext
 
     @property
     def reduced_dim(self) -> int:
         return self.basis.reduced_dim
+
+    @cached_property
+    def assemblers(self) -> dict[str, PartialAssembler]:
+        return {comp: PartialAssembler(model, self.ctx)
+                for comp, model in self.deim.items()}
+
+    @cached_property
+    def assembler(self) -> PartialAssembler:
+        return PartialAssembler([self.deim[c] for c in COMPONENTS], self.ctx)
+
+    @cached_property
+    def _splits(self) -> np.ndarray:
+        return np.cumsum([self.deim[c].m for c in COMPONENTS[:-1]])
+
+    def theta(self, mu: float) -> list[np.ndarray]:
+        """Selected entries of A, M, b and c at mu, one array per component:
+        from the table, or by the fused partial assembly outside the range
+        and next to a breakpoint."""
+        theta = self.table(mu)
+        if theta is None:
+            theta = self.assembler.theta(mu)
+        return np.split(theta, self._splits)
 
 
 @dataclass
@@ -71,7 +97,8 @@ def precompute_reduced_terms(basis: AggregatedBasis,
     Terms are the columns of the oblique projector U (P^T U)^-1, so the
     online coefficients are the raw interpolated entries; this absorbs the
     m x m interpolation solve into the offline stage without changing the
-    assembled reduced system.
+    assembled reduced system.  The models' theta tables are joined into
+    one; models without a table get one built here.
     """
     Vyp = basis.V_yp
     Vu = basis.V_u
@@ -97,12 +124,11 @@ def precompute_reduced_terms(basis: AggregatedBasis,
     b_terms = deim_models["b"].projector.T @ Vyp
     c_terms = deim_models["c"].projector.T @ Vyp
 
-    assemblers = {comp: PartialAssembler(model, ctx)
-                  for comp, model in deim_models.items()}
-    assembler = PartialAssembler([deim_models[c] for c in COMPONENTS], ctx)
+    if any(model.table is None for model in deim_models.values()):
+        deim_models = with_theta_table(deim_models, ctx)
+    table = ThetaTable.concatenate([deim_models[c].table for c in COMPONENTS])
     return RomModel(basis, alpha, A_terms, M_yp, M_u, M_uyp,
-                    b_terms, c_terms, dict(deim_models), assemblers,
-                    assembler)
+                    b_terms, c_terms, dict(deim_models), table, ctx)
 
 
 def assemble_reduced_system(A_r, M_yp_r, M_u_r, M_uyp_r, b_r, c_r,
@@ -138,10 +164,10 @@ def _dense_solve(K: np.ndarray, rhs: np.ndarray, mu: float):
 
 
 def rom_solve(model: RomModel, mu: float, lift: bool = True) -> RomSolution:
-    """Online reduced solve: the fused partial assembly of theta, then
-    ``rom_solve_theta``; wall-clock per phase is recorded."""
+    """Online reduced solve: ``RomModel.theta``, then ``rom_solve_theta``;
+    wall-clock per phase is recorded."""
     t0 = time.perf_counter()
-    thetas = model.assembler.split(model.assembler.theta(mu))
+    thetas = model.theta(mu)
     t1 = time.perf_counter()
     sol = rom_solve_theta(model, mu, thetas, lift)
     sol.timings["theta"] = t1 - t0

@@ -370,8 +370,9 @@ def sliced_condensed(ops: ParametricOperators, alpha: float) -> sp.csc_matrix:
 
 
 def report_deim_errors(bundle, mus, deim_dims=None):
-    """The DEIM errors of ``run_online`` through one ``PartialAssembler``
-    and its ``reconstruct`` per component and dimension: the ``deim_err_*``
+    """The DEIM errors of ``run_online`` through each truncated model's own
+    theta (its table, or its ``PartialAssembler`` next to a breakpoint)
+    and ``interpolate``, per component and dimension: the ``deim_err_*``
     columns (a list per component) and the ``deim_errors.csv`` rows.  The
     row of the ROM's own dimension is the mean of its column."""
     from cutrom.pipeline import DEIM_SWEEP
@@ -380,11 +381,13 @@ def report_deim_errors(bundle, mus, deim_dims=None):
     ops = [assemble_operators(ctx, float(mu)) for mu in mus]
 
     def errors(model):
-        asm = PartialAssembler(model, ctx)
         errs = []
         for mu, o in zip(mus, ops):
             exact = {"A": o.A, "M": o.M, "b": o.b, "c": o.c}[model.component]
-            diff = asm.reconstruct(float(mu)) - exact
+            theta = model.table(float(mu))
+            if theta is None:
+                theta = PartialAssembler(model, ctx).theta(float(mu))
+            diff = model.interpolate(theta, ctx) - exact
             if model.component in ("A", "M"):
                 errs.append(spectral_norm(diff) / spectral_norm(exact))
             else:

@@ -115,6 +115,34 @@ def test_criterion_3_deim_interpolation_exactness(bench):
             f"to {worst:.2e} <= 1e-12 (10 unseen mu, all four components)")
 
 
+def test_criterion_3_on_the_table_path(bench):
+    # criterion 3 for the theta that rom_solve reads: the table at the
+    # unseen parameters and 1e-6 off every breakpoint, partial assembly at
+    # the range's ends and at and within 1e-9 of every breakpoint; 1e-13
+    # off one, vertex values snap to zero and the state is neither limit
+    bundle = bench["bundle"]
+    rom = bundle.rom
+    edges = rom.table.edges
+    inner = edges[1:-1]
+    unseen = [o.mu for o in bench["ops"][:10]]
+    near = [b + d for b in inner for d in (-1e-6, 1e-6)]
+    band = [b + d for b in inner
+            for d in (0.0, -1e-13, 1e-13, -1e-12, 1e-12)]
+    tabled = all(rom.table(mu) is not None for mu in unseen + near)
+    worst = 0.0
+    for mu in unseen + near + band + [edges[0], edges[-1]]:
+        o = assemble_operators(bundle.ctx, float(mu))
+        exact = {"A": o.a_values, "M": o.m_values, "b": o.b, "c": o.c}
+        for comp, theta in zip("AMbc", rom.theta(float(mu))):
+            ref = exact[comp][rom.deim[comp].indices]
+            scale = np.abs(ref).max() + 1e-300
+            worst = max(worst, float(np.abs(theta - ref).max() / scale))
+    _report(3, inner.size >= 1 and tabled and worst <= 1e-12,
+            f"table theta matches full assembly at the selected indices to "
+            f"{worst:.2e} <= 1e-12 (10 unseen mu, the range's ends, "
+            f"{inner.size} breakpoints exactly, +-1e-13, +-1e-12, +-1e-6)")
+
+
 def test_criterion_4_deim_accuracy(bench):
     bundle = bench["bundle"]
     t0 = time.perf_counter()

@@ -233,7 +233,8 @@ def test_truncated_theta_is_prefix_of_fused_theta(paper_rom):
     fused = rom.assembler
     mus = (0.4, 0.5, 0.4034487,
            *np.random.default_rng(9).uniform(0.4, 0.5, 3).tolist())
-    parts = [dict(zip("AMbc", fused.split(fused.theta(mu)))) for mu in mus]
+    parts = [dict(zip("AMbc", np.split(fused.theta(mu), fused.offsets[1:-1])))
+             for mu in mus]
     for comp, model in rom.deim.items():
         for m in range(1, model.m):
             sub = truncate_model(model, m, ctx)
@@ -242,6 +243,45 @@ def test_truncated_theta_is_prefix_of_fused_theta(paper_rom):
             for mu, part in zip(mus, parts):
                 assert np.array_equal(asm.theta(mu), part[comp][:m]), \
                     (comp, m, mu)
+
+
+def test_truncated_table_is_prefix_of_fused_table(paper_rom):
+    # a truncated model reads the first columns of its component's table,
+    # and they evaluate to the same bits as those columns of the fused one
+    ctx, rom = paper_rom
+    edges = rom.table.edges
+    mus = (*np.random.default_rng(10).uniform(0.4, 0.5, 3),
+           edges[1] + 1e-6)
+    fused = [dict(zip("AMbc", rom.theta(float(mu)))) for mu in mus]
+    for comp, model in rom.deim.items():
+        for m in (1, model.m // 2, model.m):
+            sub = truncate_model(model, m, ctx)
+            assert np.array_equal(sub.table.coefs,
+                                  model.table.coefs[:, :, :m])
+            for mu, parts in zip(mus, fused):
+                assert np.array_equal(sub.table(float(mu)),
+                                      parts[comp][:m]), (comp, m, mu)
+
+
+def test_theta_outside_range_is_partial_assembly(paper_rom):
+    ctx, rom = paper_rom
+    asm = PartialAssembler([rom.deim[c] for c in "AMbc"], ctx)
+    lo, hi = ctx.mu_range
+    for mu in (lo - 0.005, hi + 0.005):
+        assert rom.table(mu) is None
+        assert np.array_equal(np.concatenate(rom.theta(mu)), asm.theta(mu))
+
+
+def test_theta_table_degree_cap_raises(paper_rom, monkeypatch):
+    # b, with its sine target, needs degree 8 to 10; a cap of 6 must fail
+    # the check against partial assembly instead of storing a worse table
+    import cutrom.deim as deim
+
+    ctx, rom = paper_rom
+    monkeypatch.setattr(deim, "FIRST_DEGREE", 4)
+    monkeypatch.setattr(deim, "THETA_DEGREE_CAP", 6)
+    with pytest.raises(NumericalError, match="at degree 6"):
+        deim.build_theta_table([rom.deim[c] for c in "AMbc"], ctx)
 
 
 def test_error_decay_with_dimension(deim_models, coarse_problem):

@@ -44,8 +44,9 @@ def test_tiny_offline_completes_quickly(tiny_bundle):
                 "snap_p.romb", "manifest.json", "offline_summary.csv"]
     expected += [f"pod_basis_{v}.romb" for v in "yup"]
     expected += [f"deim_{c}_{part}" for c in "AMbc"
-                 for part in ("U.romb", "proj.romb", "indices.txt",
-                              "elements.txt", "facets.txt")]
+                 for part in ("U.romb", "proj.romb", "theta.romb",
+                              "indices.txt", "elements.txt", "facets.txt")]
+    expected.append("deim_theta_edges.romb")
     for name in expected:
         assert (out / name).is_file(), name
     # the aggregated basis and the reduced terms are derived on load
@@ -90,6 +91,49 @@ def test_bundle_roundtrip(tiny_bundle):
         assert np.array_equal(bundle.deim_models[comp].projector,
                               ref.deim_models[comp].projector)
     assert np.array_equal(bundle.rom.A_terms, ref.rom.A_terms)
+
+
+def test_built_and_reloaded_bundle_agree_bitwise(tiny_bundle):
+    # one projector layout: a model gives the same bits whether the offline
+    # run returned it or it was read back
+    from cutrom import rom_solve
+
+    built = tiny_bundle["bundle"]
+    loaded = load_bundle(tiny_bundle["out"], tiny_bundle["cfg"])
+    for mu in (0.4137, 0.4521, 0.4986):
+        for comp, model in built.deim_models.items():
+            other = loaded.deim_models[comp]
+            assert model.projector.flags.c_contiguous
+            theta = built.rom.assemblers[comp].theta(mu)
+            a = model.interpolate(theta, built.ctx)
+            b = other.interpolate(theta, loaded.ctx)
+            if comp in "AM":
+                assert np.array_equal(a.indptr, b.indptr)
+                assert np.array_equal(a.indices, b.indices)
+                a, b = a.data, b.data
+            assert np.array_equal(a, b), (comp, mu)
+        sa, sb = rom_solve(built.rom, mu), rom_solve(loaded.rom, mu)
+        for name in ("y_N", "u_N", "p_N", "y", "u", "p"):
+            assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
+
+
+def test_bundle_without_theta_table_exits_2(tiny_bundle, tmp_path, capsys):
+    # a bundle written before the deim stage stored its theta table fails
+    # that stage's load with the rerun hint
+    import shutil
+
+    out = tmp_path / "old"
+    shutil.copytree(tiny_bundle["out"], out)
+    (out / "deim_theta_edges.romb").unlink()
+    for comp in "AMbc":
+        (out / f"deim_{comp}_theta.romb").unlink()
+    cfg_path = _write_cfg(tmp_path, **TINY, out_dir=str(out))
+    assert cli_main(["online", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'deim'" in err and "rerun offline with 'deim'" in err
+    cfg_path = _write_cfg(tmp_path, **TINY, out_dir=str(out), stages="deim")
+    assert cli_main(["offline", "--config", str(cfg_path)]) == 0
+    assert cli_main(["online", "--config", str(cfg_path)]) == 0
 
 
 def test_stale_bundle_detected(tiny_bundle, tmp_path):
@@ -237,8 +281,11 @@ def test_report_deim_errors_match_per_model_reconstruction(
     assert [(c, int(m), float(v)) for c, m, v in csv_rows] == deim_rows
 
 
-def test_online_assembles_one_theta_per_test_parameter(tiny_bundle,
-                                                       monkeypatch):
+def test_online_assembles_only_in_timed_reconstructs(tiny_bundle,
+                                                     monkeypatch):
+    # the report reads every theta from the stored table: partial assembly
+    # runs only in the timing report's reconstruct calls of each component,
+    # and loading the bundle runs none
     from cutrom import pipeline
     from cutrom.deim import PartialAssembler
 
@@ -246,13 +293,17 @@ def test_online_assembles_one_theta_per_test_parameter(tiny_bundle,
     theta = PartialAssembler.theta
     monkeypatch.setattr(PartialAssembler, "theta",
                         lambda self, mu: calls.append(mu) or theta(self, mu))
+    load_bundle(tiny_bundle["out"], tiny_bundle["cfg"])
+    assert calls == []
+    reconstruct = PartialAssembler.reconstruct
+    timed = []
+    monkeypatch.setattr(PartialAssembler, "reconstruct",
+                        lambda self, mu: timed.append(len(calls))
+                        or reconstruct(self, mu))
     run_online(tiny_bundle["cfg"])
-    # beyond one per test parameter, the timing report's: a warm-up and the
-    # timed rom_solve calls, and the timed reconstruct calls of each
-    # component (56 at 11 repeats)
-    repeats = pipeline.TIMING_REPEATS
-    assert len(calls) == tiny_bundle["cfg"].m_test + repeats + 1 \
-        + 4 * repeats
+    assert len(calls) == len(timed) == 4 * pipeline.TIMING_REPEATS
+    # each call came from the reconstruct that was entered just before it
+    assert timed == list(range(len(calls)))
 
 
 def test_online_deterministic(tiny_bundle, tmp_path):
@@ -317,6 +368,11 @@ def test_verify_passes_on_bundle(tiny_bundle):
     checks = run_verify(tiny_bundle["cfg"])
     failed = [c for c in checks if not c[1]]
     assert not failed, failed
+    table = tiny_bundle["bundle"].rom.table
+    (detail,) = [d for name, _, d in checks
+                 if name == "theta_table_matches_partial_assembly"]
+    assert detail.endswith(f"over {table.edges.size - 1} intervals at "
+                           f"degree {table.degree}")
 
 
 def test_verify_fails_on_rom_that_misses_its_snapshots(tmp_path, capsys):
@@ -554,3 +610,12 @@ def test_kkt_form_and_lu_in_timings(tiny_bundle):
     _, rows = read_csv(tiny_bundle["out"] / "timings.csv")
     values = {name: float(value) for name, value in rows}
     assert values["full_kkt_form"] > 0.0 and values["full_lu"] > 0.0
+
+
+def test_theta_table_shape_in_timings(tiny_bundle):
+    run_online(tiny_bundle["cfg"])
+    _, rows = read_csv(tiny_bundle["out"] / "timings.csv")
+    values = {name: float(value) for name, value in rows}
+    table = tiny_bundle["bundle"].rom.table
+    assert values["theta_table_intervals"] == table.edges.size - 1 >= 1
+    assert values["theta_table_degree"] == table.degree

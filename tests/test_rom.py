@@ -240,16 +240,21 @@ def test_fused_theta_is_exact(paper_rom):
         ops = assemble_operators(ctx, float(mu))
         exact = {"A": ops.a_values, "M": ops.m_values, "b": ops.b,
                  "c": ops.c}
-        parts = fused.split(fused.theta(float(mu)))
+        parts = np.split(fused.theta(float(mu)), fused.offsets[1:-1])
         for comp, model, part in zip("AMbc", models, parts):
             assert np.array_equal(part, exact[comp][model.indices]), \
                 (comp, mu)
             assert np.array_equal(part, rom.assemblers[comp].theta(mu))
 
 
-def test_rom_solve_makes_one_partial_assembly(rom_setup, monkeypatch):
+def test_rom_solve_assembles_only_next_to_breakpoints(paper_rom,
+                                                      monkeypatch):
+    # the table serves every parameter but those within the band of an
+    # interval edge and those outside the range, where one fused partial
+    # assembly runs
     import cutrom.deim
     from cutrom import AssemblyContext
+    from cutrom.deim import BREAKPOINT_BAND
 
     calls = {"subset_geometry": 0, "streams": 0}
 
@@ -263,9 +268,34 @@ def test_rom_solve_makes_one_partial_assembly(rom_setup, monkeypatch):
         "subset_geometry", cutrom.deim.subset_geometry))
     monkeypatch.setattr(AssemblyContext, "streams",
                         counted("streams", AssemblyContext.streams))
-    sol = rom_solve(rom_setup["rom"], 0.447)
-    assert calls == {"subset_geometry": 1, "streams": 1}
-    assert {"theta", "form", "solve", "lift"} <= set(sol.timings)
+    _, rom = paper_rom
+    edges = rom.table.edges
+    assert edges.size > 2       # an interior breakpoint at h = 0.09
+    for mu, expected in ((0.447, 0), (edges[1], 1),
+                         (edges[1] + 0.5 * BREAKPOINT_BAND, 1),
+                         (edges[1] + 2 * BREAKPOINT_BAND, 0),
+                         (edges[0], 1), (edges[-1] - 1e-6, 0),
+                         (edges[-1] + 0.01, 1)):
+        calls.update(subset_geometry=0, streams=0)
+        sol = rom_solve(rom, float(mu))
+        assert calls == {"subset_geometry": expected,
+                         "streams": expected}, mu
+        assert {"theta", "form", "solve", "lift"} <= set(sol.timings)
+
+
+def test_rom_builds_assemblers_on_first_read(paper_rom, monkeypatch):
+    # a ROM over models that carry their table builds no table and no
+    # partial assembler until one is read
+    import cutrom.rom
+
+    ctx, rom = paper_rom
+    monkeypatch.setattr(cutrom.rom, "with_theta_table", None)
+    fresh = precompute_reduced_terms(rom.basis, rom.deim, ctx, rom.alpha)
+    rom_solve(fresh, 0.447)
+    assert "assembler" not in vars(fresh) and "assemblers" not in vars(fresh)
+    assert set(fresh.assemblers) == set("AMbc")
+    assert np.array_equal(fresh.assemblers["M"].theta(0.447),
+                          rom.assemblers["M"].theta(0.447))
 
 
 def test_pivot_ratio_of_reduced_solve(rom_setup):
