@@ -353,8 +353,10 @@ class PartialAssembler:
 # degree 6) or, for b with its sine target, an entire function.
 
 # breakpoints closer than this are one (they differ by rounding); within
-# it of an interval edge theta comes from partial assembly, because vertex
-# values snapped to zero (``SNAP_REL``) give that mu a state of its own
+# it of an interval edge theta comes from partial assembly, because a vertex
+# value snapped to zero counts as outside (``SNAP_REL``): a mu up to the
+# snap distance above an edge takes the state of the interval below, not
+# the one the table fits above it
 BREAKPOINT_BAND = 1e-9
 # the first Chebyshev degree tried, and the step to the next: degree 10
 # met THETA_TABLE_TOL for all four components at h = 0.09 and 0.0225

@@ -16,16 +16,14 @@ of one complex-symmetric system of n_active rows
 
     (M_aa + i s A_aa) w = b_a + i s c_a,    w = y_a - i p_a / s,
 
-which is nonsingular whenever A_aa is positive definite, even where M_aa is
-singular.  The solve factors it, sets y = Re w, p = -s Im w and u = p/a on
-the active DOFs; the matrix is built in one CSC construction from the CSR
+which is nonsingular whenever A_aa is positive definite.  The solve
+factors it, sets y = Re w, p = -s Im w and u = p/a on the active DOFs and
+0 outside them; the matrix is built in one CSC construction from the CSR
 arrays of the active rows of M and A.  A nonsymmetric A breaks this
-equivalence; the residual check below, which uses A^T, then fails.  An
-active DOF with an empty mass row (a boundary exactly on mesh lines) has a
-free control component that enters no equation; it is set to zero, as is
-every component outside the active mesh.  The pinned 3N system stays
-available as ``KktSystem.matrix`` and ``.rhs``, built on first access, and
-the solve checks its residual one block row at a time without forming it.
+equivalence; the residual check below, which uses A^T, then fails.  The
+pinned 3N system stays available as ``KktSystem.matrix`` and ``.rhs``,
+built on first access, and the solve checks its residual one block row at
+a time without forming it.
 
 The LU uses a symmetric fill-reducing ordering (minimum degree on the
 pattern of K + K^T) and takes every pivot on the diagonal, with no row
@@ -34,13 +32,13 @@ is symmetric positive definite, so x^H (-i P^T K P) x has a positive real
 part for every x != 0 and every permutation P.  Every principal submatrix
 of every symmetric permutation of K is therefore nonsingular, and an LU
 without pivoting exists in exact arithmetic (Axelsson & Kucherov, Numer.
-Linear Algebra Appl. 7, 2000, for the complex form).  Higham (Math. Comp.
-67, 1998) bounds its growth factor when the real and imaginary parts are
-both definite; M_aa is only semidefinite, and singular wherever there are
-free controls, so that bound does not strictly apply here, and the 3N
-residual check stays the guard against a growth it would miss.  An
-exactly zero pivot (an empty row) is reported by SuperLU and raised as a
-``NumericalError``.
+Linear Algebra Appl. 7, 2000, for the complex form).  Every active element
+has a positive clipped area (a vertex value snapped to zero counts as
+outside, see ``levelset``), so no active DOF has an empty mass row and M_aa
+is positive definite too; Higham (Math. Comp. 67, 1998) then bounds the
+growth factor.  A clipped area can still be tiny, so the 3N residual check
+stays the guard against a growth the bound allows.  An exactly zero pivot
+(an empty row) is reported by SuperLU and raised as a ``NumericalError``.
 """
 
 from __future__ import annotations
@@ -79,16 +77,9 @@ class KktSystem:
         return self.ops.active_dofs
 
     @functools.cached_property
-    def free_controls(self) -> np.ndarray:
-        """Active DOFs whose mass row is empty."""
-        active = self.active_dofs
-        return active[self.ops.M.diagonal()[active] == 0.0]
-
-    @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The pinned 3N x 3N system (unit rows at inactive DOFs and at
-        free controls), of which the condensed solve is the exact solution.
-        """
+        """The pinned 3N x 3N system (unit rows at inactive DOFs), of which
+        the condensed solve is the exact solution."""
         ops, n = self.ops, self.n
         big = sp.bmat([[ops.M, None, ops.A.T],
                        [None, self.alpha * ops.M, -ops.M.T],
@@ -99,7 +90,6 @@ class KktSystem:
         diag = np.zeros(3 * n)
         for k in range(3):
             diag[k * n + inactive] = 1.0
-        diag[n + self.free_controls] = 1.0
         return (big + sp.diags(diag)).tocsr()
 
     @functools.cached_property
@@ -193,7 +183,6 @@ def solve_kkt(system: KktSystem) -> FullSolution:
     y[active] = w.real
     p[active] = -np.sqrt(system.alpha) * w.imag
     u[active] = p[active] / system.alpha
-    u[system.free_controls] = 0.0
     res = _residual(system, y, u, p)
     if not res <= RESIDUAL_TOL:
         raise NumericalError(

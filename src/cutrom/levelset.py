@@ -8,8 +8,9 @@ level-set function is
 
 negative inside, zero on the boundary.  Geometry is approximated per
 element by the linear interpolant of the vertex values of phi: elements are
-classified by vertex signs, cut elements are clipped against the
-interpolant's zero line, and the boundary rule lives on that chord.
+classified by vertex signs (a value snapped to zero counts as outside),
+cut elements are clipped against the interpolant's zero line, and the
+boundary rule lives on that chord.
 
 ``classify_elements`` makes one sign pass over the whole mesh and builds no
 quadrature: a truth assembly clips only the cut elements and takes the
@@ -34,7 +35,12 @@ OUTSIDE = np.int8(1)
 CUT = np.int8(2)
 
 # vertex values closer to zero than SNAP_REL * local scale are treated as
-# exact zeros, so crossings snap to vertices instead of creating slivers
+# exact zeros, so crossings snap to vertices instead of creating slivers.
+# A zero counts as outside: INSIDE means three negative values, OUTSIDE
+# three non-negative ones, so a mesh-aligned mu (a side of the square
+# through vertices) and every mu within the snap distance above it take
+# the state of the limit from below, and every active element has a
+# positive clipped area
 SNAP_REL = 1e-12
 
 _GAUSS2 = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -55,7 +61,8 @@ class LevelSetSquare:
 
 
 def snap_values(vals: np.ndarray) -> np.ndarray:
-    """Zero out vertex values indistinguishable from the boundary.
+    """Zero out vertex values indistinguishable from the boundary; the
+    classification counts such a zero as outside (``SNAP_REL``).
 
     The last axis holds an element's three vertex values; their local
     scale is the largest magnitude, and at least 1.
@@ -66,55 +73,6 @@ def snap_values(vals: np.ndarray) -> np.ndarray:
                        np.maximum(mag[..., 2], 1.0))
     vals[mag < SNAP_REL * scale[..., None]] = 0.0
     return vals
-
-
-def _tri_area(p0, p1, p2) -> float:
-    return 0.5 * ((p1[0] - p0[0]) * (p2[1] - p0[1])
-                  - (p2[0] - p0[0]) * (p1[1] - p0[1]))
-
-
-def _clip_polygon(coords: np.ndarray, vals: np.ndarray):
-    """Clip one triangle against the zero line of its linear interpolant.
-
-    Handles all sign patterns including exact zeros.  Returns
-    (sub_triangles, chord) where sub_triangles is a list of (3, 2) arrays
-    covering the region {interpolant <= 0} and chord is the pair of zero-line
-    endpoints, or None when the zero set is degenerate or the region empty.
-    """
-    neg = vals < 0.0
-    pos = vals > 0.0
-    if not pos.any():
-        subs = [coords] if neg.any() else []
-        chord = None
-        if neg.sum() == 1 and (vals == 0.0).sum() == 2:
-            z = np.flatnonzero(vals == 0.0)
-            chord = (coords[z[0]], coords[z[1]])
-        return subs, chord
-    if not neg.any():
-        return [], None
-
-    poly: list[np.ndarray] = []
-    cut_pts: list[np.ndarray] = []
-    for k in range(3):
-        i, j = k, (k + 1) % 3
-        if vals[i] <= 0.0:
-            poly.append(coords[i])
-            if vals[i] == 0.0:
-                cut_pts.append(coords[i])
-        if vals[i] * vals[j] < 0.0:
-            t = vals[i] / (vals[i] - vals[j])
-            pc = coords[i] + t * (coords[j] - coords[i])
-            poly.append(pc)
-            cut_pts.append(pc)
-
-    subs = [np.array([poly[0], poly[k], poly[k + 1]])
-            for k in range(1, len(poly) - 1)]
-    chord = None
-    if len(cut_pts) == 2:
-        a, b = cut_pts
-        if (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 > 0.0:
-            chord = (a, b)
-    return subs, chord
 
 
 _NEXT_VERTEX = np.array([1, 2, 0])
@@ -189,10 +147,11 @@ _ROTATE = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 # sub-triangles as rows into (apex, next, last, p_next, p_last), where
 # p_next and p_last are the crossings on the edges from the apex: the
 # whole triangle, the corner cut off at a lone negative apex, and the two
-# triangles of the quadrilateral left by a lone positive apex
+# triangles of the quadrilateral left by a lone non-negative apex (of zero
+# area when the apex value is zero)
 _SUB_VERTICES = np.array([[0, 1, 2], [0, 3, 4], [3, 1, 2], [3, 2, 4]])
 # the sub-triangles of an INSIDE element, a lone negative apex and a lone
-# positive one (-1: none)
+# non-negative one (-1: none)
 _CASE_SUBS = np.array([[0, -1], [1, -1], [2, 3]])
 
 
@@ -201,12 +160,14 @@ def subset_geometry(mesh: BackgroundMesh, ls, elems,
                     interior: bool = True) -> SubsetGeometry:
     """Classify and build quadratures for the given elements only.
 
-    Vectorized over INSIDE elements and the generic sign patterns of cut
-    ones; the rare configurations with exact zero vertex values fall back
-    to the scalar clipper.  ``coords`` may pass precomputed element vertex
-    coordinates for the same (sorted) element list.  ``interior=False``
-    leaves the interior rule empty (the clipped areas and the boundary
-    rule are all a stiffness matrix needs).
+    A vertex value snapped to zero counts as outside, so a cut element has
+    one vertex on one side of the zero line and two on the other.  A zero
+    vertex then gives a crossing at t = 0 or 1: a sub-triangle of zero
+    area or a chord of zero length, with zero weights, which is the limit
+    of the state just below a mesh-aligned mu.  ``coords`` may pass
+    precomputed element vertex coordinates for the same (sorted) element
+    list.  ``interior=False`` leaves the interior rule empty (the clipped
+    areas and the boundary rule are all a stiffness matrix needs).
     """
     elems = np.sort(np.asarray(elems, dtype=np.int64))
     if coords is None:
@@ -215,22 +176,19 @@ def subset_geometry(mesh: BackgroundMesh, ls, elems,
 
     neg = vals < 0.0
     nneg = neg.sum(axis=1)
-    npos = (vals > 0.0).sum(axis=1)
     cls = np.full(elems.shape[0], CUT, dtype=np.int8)
     cls[nneg == 3] = INSIDE
-    cls[npos == 3] = OUTSIDE
-    has_zero = (vals == 0.0).any(axis=1)
-    generic = (cls == CUT) & ~has_zero
+    cls[nneg == 0] = OUTSIDE
 
-    # INSIDE and generic cut elements, their vertices rotated to start at
-    # the lone vertex of a cut one (the negative one when it is alone);
-    # INSIDE ones keep their order
-    clip = np.flatnonzero((cls == INSIDE) | generic)
+    # active elements, the vertices of a cut one rotated to start at its
+    # lone vertex (negative, or the one of the other sign); INSIDE ones
+    # keep their order
+    clip = np.flatnonzero(cls != OUTSIDE)
     one_neg = nneg[clip] == 1
     rot = _ROTATE[np.argmax(neg[clip] == one_neg[:, None], axis=1)]
     tri = coords[clip[:, None], rot]                        # (c, 3, 2)
     f = vals[clip[:, None], rot]
-    cut = np.flatnonzero(generic[clip])
+    cut = np.flatnonzero(cls[clip] == CUT)
     fa = f[cut, :1]
     apex = tri[cut, :1]
     crossing = apex + (fa / (fa - f[cut, 1:]))[:, :, None] \
@@ -258,47 +216,14 @@ def subset_geometry(mesh: BackgroundMesh, ls, elems,
     spts, sw = _segment_rule(crossing[:, 0], crossing[:, 1])
     grad = _interpolant_gradients(coords[bq_elems], vals[bq_elems])
     nrm = grad / np.linalg.norm(grad, axis=1, keepdims=True)
-    iq = [(np.repeat(parents, 3), *_midpoint_rule(subs))] if interior \
-        else [(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros(0))]
-    bq = [(np.repeat(bq_elems, 2), spts, sw, np.repeat(nrm, 2, axis=0))]
-
-    special = np.flatnonzero((cls == CUT) & has_zero)
-    for li in special:
-        subs, chord = _clip_polygon(coords[li], vals[li])
-        if subs:
-            tris = np.asarray(subs)
-            good = np.array([abs(_tri_area(*s)) > 0.0 for s in subs])
-            tris = tris[good]
-            if tris.size:
-                pts, w = _midpoint_rule(tris)
-                if interior:
-                    iq.append((np.full(pts.shape[0], li, dtype=np.int64),
-                               pts, w))
-                clipped[li] = np.sum(w)
-        if chord is not None and (vals[li] < 0.0).any():
-            a, b = chord
-            spts, sw = _segment_rule(a[None], b[None])
-            g = _interpolant_gradients(coords[li][None], vals[li][None])[0]
-            nn = g / np.linalg.norm(g)
-            bq.append((np.full(2, li, dtype=np.int64), spts, sw,
-                       np.broadcast_to(nn, (2, 2)).copy()))
-
-    def by_parent(parts):
-        """Concatenated parts, stably sorted by parent when the scalar
-        clipper added any."""
-        cols = [np.concatenate(c) for c in zip(*parts)]
-        if len(parts) > 1:
-            order = np.argsort(cols[0], kind="stable")
-            cols = [c[order] for c in cols]
-        return cols
-
-    iq_parent, iq_points, iq_weights = by_parent(iq)
-    bq_parent, bq_points, bq_weights, bq_normals = by_parent(bq)
+    rule = slice(None) if interior else slice(0)
+    iq_points, iq_weights = _midpoint_rule(subs[rule])
     return SubsetGeometry(
         elems=elems, classification=cls, clipped_area=clipped,
-        iq_parent=iq_parent, iq_points=iq_points, iq_weights=iq_weights,
-        bq_parent=bq_parent, bq_points=bq_points, bq_weights=bq_weights,
-        bq_normals=bq_normals)
+        iq_parent=np.repeat(parents[rule], 3), iq_points=iq_points,
+        iq_weights=iq_weights,
+        bq_parent=np.repeat(bq_elems, 2), bq_points=spts, bq_weights=sw,
+        bq_normals=np.repeat(nrm, 2, axis=0))
 
 
 @dataclass
@@ -343,7 +268,7 @@ def classify_elements(mesh: BackgroundMesh, face_table: FaceTable,
     """
     vals = snap_values(ls(mesh.vertices)[mesh.elements])
     neg = vals < 0.0
-    pos = vals > 0.0
+    pos = vals >= 0.0
     cls = np.full(mesh.n_elements + 1, CUT, dtype=np.int8)
     cls[:-1][neg[:, 0] & neg[:, 1] & neg[:, 2]] = INSIDE
     cls[:-1][pos[:, 0] & pos[:, 1] & pos[:, 2]] = OUTSIDE
@@ -380,4 +305,4 @@ def outside_elements(mesh: BackgroundMesh, mu: float,
     """Elements classified OUTSIDE at mu; by monotonicity in mu, at mu_max
     these are the elements that stay outside for the whole range."""
     vals = LevelSetSquare(mu, center)(mesh.vertices)[mesh.elements]
-    return (snap_values(vals) > 0.0).all(axis=1)
+    return (snap_values(vals) >= 0.0).all(axis=1)

@@ -653,6 +653,28 @@ def run_verify(cfg: RunConfig, out_dir=None):
                        float(np.mean(per_errs)) <= 0.02,
                        f"mean rel err {np.mean(per_errs):.3e}"))
 
+    # the first mu that puts a side of the square through mesh vertices
+    # (their values snap to zero, which counts as outside) takes the state
+    # of the limit from below, and no active DOF has an empty mass row
+    aligned = LevelSetSquare(0.0, CENTER)(bundle.mesh.vertices) / 2.0
+    aligned = aligned[(aligned >= cfg.mu_min) & (aligned <= cfg.mu_max)]
+    if aligned.size == 0:
+        checks.append(("geometry_mesh_aligned_mu", True,
+                       f"skipped: no mesh-aligned mu in "
+                       f"[{cfg.mu_min}, {cfg.mu_max}]"))
+    else:
+        mu = float(aligned.min())
+        geom, below = (classify_elements(bundle.mesh, bundle.face_table,
+                                         LevelSetSquare(m, CENTER))
+                       for m in (mu, mu - 1e-9))
+        same = np.array_equal(geom.classification, below.classification)
+        ops = bundle.ctx.assemble(geom)
+        empty = np.count_nonzero(ops.M.diagonal()[ops.active_dofs] == 0.0)
+        checks.append(("geometry_mesh_aligned_mu", bool(same and empty == 0),
+                       f"mu={mu:.7f}: classification "
+                       f"{'equals' if same else 'differs from'} the one at "
+                       f"mu-1e-9, {empty} empty active mass rows"))
+
     W = bundle.W
     for var in ("y", "u", "p"):
         V = bundle.pod[var].vectors

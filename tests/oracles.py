@@ -9,14 +9,21 @@ from cutrom import AggregatedBasis, AssemblyContext, ParametricOperators, \
 from cutrom.deim import PartialAssembler, spectral_norm, truncate_model
 from cutrom.errors import PatternOverflowError
 from cutrom.levelset import CUT, INSIDE, OUTSIDE, SNAP_REL, LevelSetSquare, \
-    SubsetGeometry, _clip_polygon, _interpolant_gradients, _midpoint_rule, \
-    _segment_rule, _tri_area, snap_values
+    SubsetGeometry, _interpolant_gradients, _midpoint_rule, _segment_rule, \
+    snap_values
 
 
 def eval_levelset(ls: LevelSetSquare, point) -> float | np.ndarray:
     """Evaluate the level-set; negative inside, zero on the boundary."""
     out = ls(point)
     return float(out) if np.ndim(out) == 0 else out
+
+
+def mesh_aligned_mus(mesh, lo=0.4, hi=0.5, center=(1.0, 1.0)) -> list:
+    """The mu in [lo, hi] that put the square's left side (and, by the
+    mesh's symmetry, the others) through mesh vertices."""
+    return [float(mu) for mu in center[0] - np.unique(mesh.vertices[:, 0])
+            if lo <= mu <= hi]
 
 
 def reduced_snap_values(vals) -> np.ndarray:
@@ -26,6 +33,56 @@ def reduced_snap_values(vals) -> np.ndarray:
     scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1, keepdims=True))
     vals[np.abs(vals) < SNAP_REL * scale] = 0.0
     return vals
+
+
+def _tri_area(p0, p1, p2) -> float:
+    return 0.5 * ((p1[0] - p0[0]) * (p2[1] - p0[1])
+                  - (p2[0] - p0[0]) * (p1[1] - p0[1]))
+
+
+def _clip_polygon(coords: np.ndarray, vals: np.ndarray):
+    """Clip one triangle against the zero line of its linear interpolant.
+
+    Handles all sign patterns including exact zeros, one vertex and one
+    edge at a time.  Returns (sub_triangles, chord) where sub_triangles is
+    a list of (3, 2) arrays covering the region {interpolant <= 0} and
+    chord is the pair of zero-line endpoints, or None when the zero set is
+    degenerate or the region empty.
+    """
+    neg = vals < 0.0
+    pos = vals > 0.0
+    if not pos.any():
+        subs = [coords] if neg.any() else []
+        chord = None
+        if neg.sum() == 1 and (vals == 0.0).sum() == 2:
+            z = np.flatnonzero(vals == 0.0)
+            chord = (coords[z[0]], coords[z[1]])
+        return subs, chord
+    if not neg.any():
+        return [], None
+
+    poly: list[np.ndarray] = []
+    cut_pts: list[np.ndarray] = []
+    for k in range(3):
+        i, j = k, (k + 1) % 3
+        if vals[i] <= 0.0:
+            poly.append(coords[i])
+            if vals[i] == 0.0:
+                cut_pts.append(coords[i])
+        if vals[i] * vals[j] < 0.0:
+            t = vals[i] / (vals[i] - vals[j])
+            pc = coords[i] + t * (coords[j] - coords[i])
+            poly.append(pc)
+            cut_pts.append(pc)
+
+    subs = [np.array([poly[0], poly[k], poly[k + 1]])
+            for k in range(1, len(poly) - 1)]
+    chord = None
+    if len(cut_pts) == 2:
+        a, b = cut_pts
+        if (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 > 0.0:
+            chord = (a, b)
+    return subs, chord
 
 
 def interior_quadrature(coords, vals):
@@ -215,9 +272,12 @@ def _segment_rule_loop(a, b):
 
 
 def reference_subset_geometry(mesh, ls, elems) -> SubsetGeometry:
-    """``subset_geometry`` in its earlier form: INSIDE elements, generic cut
-    elements (corner, then the two quadrilateral halves, by sign case) and
-    scalar-clipped ones built apart, then stably sorted by parent."""
+    """``subset_geometry`` in an earlier form: INSIDE elements, cut elements
+    without zero vertex values (corner, then the two quadrilateral halves,
+    by sign case) and scalar-clipped ones built apart, then stably sorted
+    by parent.  A zero vertex value counts as outside, and the scalar
+    clipper keeps no sub-triangle of zero area and no chord of zero
+    length."""
     elems = np.sort(np.asarray(elems, dtype=np.int64))
     coords = mesh.element_coords(elems)
     vals = snap_values(ls(coords.reshape(-1, 2)).reshape(-1, 3))
@@ -225,7 +285,7 @@ def reference_subset_geometry(mesh, ls, elems) -> SubsetGeometry:
     nzero = (vals == 0.0).sum(axis=1)
     cls = np.full(elems.shape[0], CUT, dtype=np.int8)
     cls[nneg == 3] = INSIDE
-    cls[(vals > 0.0).sum(axis=1) == 3] = OUTSIDE
+    cls[nneg == 0] = OUTSIDE
     clipped = np.zeros(elems.shape[0])
     iq, bq = [], []
 
@@ -343,8 +403,8 @@ def bmat_condensed(ops: ParametricOperators, alpha: float) -> sp.csc_matrix:
 
 
 def real_condensed_solve(ops: ParametricOperators, alpha: float):
-    """(y, u, p) from a sparse LU of the real condensed system; free
-    controls and every component outside the active mesh are 0."""
+    """(y, u, p) from a sparse LU of the real condensed system; every
+    component outside the active mesh is 0."""
     active, n = ops.active_dofs, ops.A.shape[0]
     rhs = np.concatenate([ops.b[active], ops.c[active]])
     x = spla.splu(bmat_condensed(ops, alpha)).solve(rhs)
@@ -352,7 +412,6 @@ def real_condensed_solve(ops: ParametricOperators, alpha: float):
     y[active] = x[:active.size]
     p[active] = x[active.size:]
     u[active] = p[active] / alpha
-    u[active[ops.M.diagonal()[active] == 0.0]] = 0.0
     return y, u, p
 
 

@@ -118,8 +118,9 @@ def test_criterion_3_deim_interpolation_exactness(bench):
 def test_criterion_3_on_the_table_path(bench):
     # criterion 3 for the theta that rom_solve reads: the table at the
     # unseen parameters and 1e-6 off every breakpoint, partial assembly at
-    # the range's ends and at and within 1e-9 of every breakpoint; 1e-13
-    # off one, vertex values snap to zero and the state is neither limit
+    # the range's ends and at and within 1e-9 of every breakpoint; up to
+    # 1e-13 above one, vertex values snap to zero, which counts as outside,
+    # and the state is the one of the interval below
     bundle = bench["bundle"]
     rom = bundle.rom
     edges = rom.table.edges

@@ -262,17 +262,20 @@ def test_pattern_overflow_outside_declared_range(coarse_problem):
     ft = coarse_problem["face_table"]
     ctx = AssemblyContext(mesh, ft, square_poisson(), mu_range=(0.40, 0.42))
     assemble_operators(ctx, 0.41)  # inside the range: fine
+    # mu = 0.5 puts the square's sides on mesh lines at h = 0.2; its state
+    # is the limit from below, whose elements are those of the range
+    assemble_operators(ctx, 0.50)
     with pytest.raises(PatternOverflowError):
-        assemble_operators(ctx, 0.50)
+        assemble_operators(ctx, 0.51)
     # above the range an active element has no precomputed values, below
     # it a ghost facet lies outside the pattern; either is named
-    for mu, what in ((0.50, "element"), (0.30, "ghost facet")):
+    for mu, what in ((0.51, "element"), (0.29, "ghost facet")):
         geom = classify_elements(mesh, ft, LevelSetSquare(mu))
         with pytest.raises(PatternOverflowError, match=rf"{what} \d+ "):
             ctx.assemble(geom)
     with pytest.raises(PatternOverflowError, match=r"ghost facet \d+ "):
         ctx.assemble_component(classify_elements(
-            mesh, ft, LevelSetSquare(0.30)), "A")
+            mesh, ft, LevelSetSquare(0.29)), "A")
 
 
 def test_box_mass_matrix_exact(bench_mesh):

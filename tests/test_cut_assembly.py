@@ -16,8 +16,8 @@ from cutrom.pipeline import CENTER
 from oracles import all_active_assemble, bitwise_equal, reduced_snap_values, \
     reference_subset_geometry
 
-# the grid-aligned mu = 0.5 (exact zero vertex values at h = 0.2), the
-# seed-310 training mu, and three seeded random values
+# the grid-aligned mu = 0.5 (exact zero vertex values at h = 0.2, which
+# count as outside), the seed-310 training mu, and three seeded random values
 GRID_MUS = (0.4, 0.4034487, 0.45, 0.4805, 0.5,
             *np.random.default_rng(11).uniform(0.4, 0.5, 3).tolist())
 
@@ -44,7 +44,8 @@ def test_cut_only_assembly_is_the_all_active_pass_coarse(coarse_problem):
     ctx = coarse_problem["ctx"]
     mesh = ctx.mesh
     # at h = 0.2 the square at mu = 0.5 sits on mesh lines, so cut
-    # elements with exact zero vertex values take the scalar clipper
+    # elements have exact zero vertex values, whose crossings give
+    # sub-triangles and chords of zero weight
     geom = classify_elements(mesh, ctx.face_table, LevelSetSquare(0.5, CENTER))
     vals = snap_values(geom.levelset(mesh.vertices)[mesh.elements])
     assert np.any(vals[geom.classification == CUT] == 0.0)
@@ -58,30 +59,50 @@ def test_assembly_with_no_cut_element():
     _assert_bitwise_all_active(ctx, (10.0,))
 
 
+def _nonzero_nodes(parent, points, weights, *more):
+    """The nodes of nonzero weight, sorted by parent, then point and
+    weight: the scalar clipper keeps no zero-weight node and walks an
+    element's vertices in their own order."""
+    keep = weights != 0.0
+    parent, points, weights = parent[keep], points[keep], weights[keep]
+    order = np.lexsort((weights, points[:, 1], points[:, 0], parent))
+    return [a[order] for a in (parent, points, weights,
+                               *(m[keep] for m in more))]
+
+
+def _assert_same_nodes(got, ref, names, mu):
+    """Bitwise the same nodes: in the same order where ``got`` has no
+    zero-weight node, else the same nonzero-weight nodes per element."""
+    got_cols = [getattr(got, name) for name in names]
+    ref_cols = [getattr(ref, name) for name in names]
+    if np.all(got_cols[2] != 0.0):
+        pairs = zip(got_cols, ref_cols)
+    else:
+        pairs = zip(_nonzero_nodes(*got_cols), _nonzero_nodes(*ref_cols))
+    for name, (a, b) in zip(names, pairs):
+        assert bitwise_equal(a, b), (mu, name)
+
+
 def _assert_subset_geometry_is_the_reference(mesh):
     cand = np.flatnonzero(cut_candidates(mesh, 0.4, 0.5, CENTER))
     subsets = (np.arange(mesh.n_elements), cand, cand[::7])
+    interior = ("iq_parent", "iq_points", "iq_weights")
+    boundary = ("bq_parent", "bq_points", "bq_weights", "bq_normals")
     for mu in GRID_MUS:
         ls = LevelSetSquare(mu, CENTER)
         for elems in subsets:
             got = subset_geometry(mesh, ls, elems)
             ref = reference_subset_geometry(mesh, ls, elems)
-            for name in ("elems", "classification", "iq_parent",
-                         "bq_parent"):
-                assert np.array_equal(getattr(got, name),
-                                      getattr(ref, name)), (mu, name)
-            for name in ("clipped_area", "iq_points", "iq_weights",
-                         "bq_points", "bq_weights", "bq_normals"):
-                assert bitwise_equal(getattr(got, name),
-                                     getattr(ref, name)), (mu, name)
+            assert np.array_equal(got.elems, ref.elems)
+            assert np.array_equal(got.classification, ref.classification)
+            assert bitwise_equal(got.clipped_area, ref.clipped_area), mu
+            _assert_same_nodes(got, ref, interior, mu)
+            _assert_same_nodes(got, ref, boundary, mu)
             # without the interior rule the rest is unchanged
             bare = subset_geometry(mesh, ls, elems, interior=False)
             assert bare.iq_parent.size == bare.iq_weights.size == 0
-            assert np.array_equal(bare.bq_parent, ref.bq_parent)
-            for name in ("clipped_area", "bq_points", "bq_weights",
-                         "bq_normals"):
-                assert bitwise_equal(getattr(bare, name),
-                                     getattr(ref, name)), (mu, name)
+            assert bitwise_equal(bare.clipped_area, ref.clipped_area), mu
+            _assert_same_nodes(bare, ref, boundary, mu)
 
 
 def test_subset_geometry_is_the_reference(default_problem):

@@ -7,8 +7,8 @@ from cutrom import ParametricOperators, RunConfig, assemble_kkt, \
 from cutrom.kkt import RESIDUAL_TOL
 from cutrom.pipeline import CENTER, build_problem
 from cutrom.errors import NumericalError
-from oracles import bitwise_equal, cost_value, real_condensed_solve, \
-    sliced_condensed
+from oracles import bitwise_equal, cost_value, mesh_aligned_mus, \
+    real_condensed_solve, sliced_condensed
 
 
 def _toy_ops(n=1, b=0.0, c=0.0, active=None):
@@ -151,16 +151,16 @@ def test_symmetric_data_gives_symmetric_solution(bench_mesh, bench_faces):
 
 
 def test_boundary_aligned_with_grid_is_solvable(coarse_problem):
-    # at h = 0.2 the square of half side 0.5 lies exactly on mesh lines:
-    # the zero-vertex cut elements carry active DOFs with empty mass rows,
-    # whose free control components must be pinned rather than blow up
+    # at h = 0.2 the square of half side 0.5 lies exactly on mesh lines;
+    # the zero vertex values count as outside, so every active element has
+    # a positive clipped area and no active mass row is empty
     ctx = coarse_problem["ctx"]
     ops = assemble_operators(ctx, 0.5)
-    diag = ops.M.diagonal()
-    assert np.any(diag[ops.active_dofs] == 0.0)
+    assert np.all(ops.M.diagonal()[ops.active_dofs] > 0.0)
     sol = solve_kkt(assemble_kkt(ops, 1e-4))
-    free = ops.active_dofs[diag[ops.active_dofs] == 0.0]
-    assert np.all(sol.u[free] == 0.0)
+    assert sol.residual <= RESIDUAL_TOL
+    active = ops.active_dofs
+    assert np.array_equal(sol.u[active], sol.p[active] / 1e-4)
 
 
 def test_deterministic_solve(coarse_problem):
@@ -187,7 +187,7 @@ def test_near_empty_mass_row_gives_bounded_control():
 def test_control_is_scaled_adjoint_bitwise(solved, coarse_problem):
     alpha = coarse_problem["case"].alpha
     for ops, _, sol in solved:
-        active = ops.active_dofs[ops.M.diagonal()[ops.active_dofs] != 0.0]
+        active = ops.active_dofs
         assert np.array_equal(sol.u[active], sol.p[active] / alpha)
 
 
@@ -279,7 +279,7 @@ def test_complex_solve_matches_real_condensed_solve(default_problem):
 
 
 def test_complex_solve_matches_real_condensed_solve_coarse(coarse_problem):
-    # mu = 0.5 lies on mesh lines at h = 0.2: free controls
+    # mu = 0.5 lies on mesh lines at h = 0.2: exact zero vertex values
     ctx, alpha = coarse_problem["ctx"], coarse_problem["case"].alpha
     for mu in (0.4, 0.4034487, 0.45, 0.5):
         _assert_matches_real_solve(assemble_operators(ctx, mu, CENTER),
@@ -305,12 +305,12 @@ def test_nonsymmetric_stiffness_fails_loudly():
 
 
 def test_pivot_free_lu_on_mesh_aligned_mu(default_problem, monkeypatch):
-    # a square whose edges lie on mesh lines leaves active DOFs with empty
-    # mass rows (free controls), so M_aa is singular; the factorization
-    # must still take every pivot on the diagonal and solve exactly
+    # a square whose edges lie on mesh lines gives exact zero vertex
+    # values, which count as outside: every active mass diagonal stays
+    # positive, and the factorization takes every pivot on the diagonal
+    # and solves exactly
     (mesh, _, case, ctx, _), mus = default_problem
-    aligned = [float(mu) for mu in CENTER[0] - np.unique(mesh.vertices[:, 0])
-               if 0.4 <= mu <= 0.5]
+    aligned = mesh_aligned_mus(mesh)
     assert len(aligned) == {29: 2, 116: 5}[mesh.n_cells[0]]
     factors = []
     splu = kkt.spla.splu
@@ -323,8 +323,7 @@ def test_pivot_free_lu_on_mesh_aligned_mu(default_problem, monkeypatch):
     for mu in (*mus, *aligned):
         ops = assemble_operators(ctx, mu, CENTER)
         system = assemble_kkt(ops, case.alpha)
-        if mu in aligned:
-            assert system.free_controls.size > 0
+        assert np.all(ops.M.diagonal()[ops.active_dofs] > 0.0)
         factors.clear()
         sol = solve_kkt(system)
         assert len(factors) == 1

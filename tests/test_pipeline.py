@@ -373,6 +373,21 @@ def test_verify_passes_on_bundle(tiny_bundle):
                  if name == "theta_table_matches_partial_assembly"]
     assert detail.endswith(f"over {table.edges.size - 1} intervals at "
                            f"degree {table.degree}")
+    # at h = 0.3 a side of the square passes through vertices at mu = 13/30
+    (detail,) = [d for name, _, d in checks
+                 if name == "geometry_mesh_aligned_mu"]
+    assert detail.startswith("mu=0.4333333: classification equals ")
+    assert detail.endswith(" 0 empty active mass rows")
+
+
+def test_verify_skips_mesh_aligned_check_without_aligned_mu(tmp_path):
+    cfg = RunConfig(**{**TINY, "mu_min": 0.44, "mu_max": 0.45},
+                    out_dir=str(tmp_path / "bundle"))
+    run_offline(cfg)
+    checks = run_verify(cfg)
+    assert all(ok for _, ok, _ in checks)
+    assert ("geometry_mesh_aligned_mu", True,
+            "skipped: no mesh-aligned mu in [0.44, 0.45]") in checks
 
 
 def test_verify_fails_on_rom_that_misses_its_snapshots(tmp_path, capsys):

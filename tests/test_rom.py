@@ -10,7 +10,8 @@ from cutrom.errors import NumericalError
 from cutrom.pipeline import training_sweep
 from cutrom.pod import AggregatedBasis
 from cutrom.rom import _dense_solve, assemble_reduced_system
-from oracles import direct_projection, reduced_blocks_from_exact
+from oracles import bitwise_equal, direct_projection, \
+    reduced_blocks_from_exact
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +282,28 @@ def test_rom_solve_assembles_only_next_to_breakpoints(paper_rom,
         assert calls == {"subset_geometry": expected,
                          "streams": expected}, mu
         assert {"theta", "form", "solve", "lift"} <= set(sol.timings)
+
+
+def test_theta_band_around_interval_edges(paper_rom):
+    # a mu within the snap distance above an edge takes the state of the
+    # interval below: inside the band the ROM reads partial assembly, the
+    # same bits; just outside it the table agrees to 1e-12
+    from cutrom.deim import theta_deviation
+
+    _, rom = paper_rom
+    asm, edges = rom.assembler, rom.table.edges
+    for edge in edges:
+        for mu in (edge, edge - 1e-13, edge + 1e-13):
+            assert rom.table(float(mu)) is None
+            assert bitwise_equal(np.concatenate(rom.theta(float(mu))),
+                                 asm.theta(float(mu))), mu
+        for mu in (edge - 2e-9, edge + 2e-9):
+            # the table serves both sides of an interior edge
+            assert (rom.table(float(mu)) is None) \
+                == (mu < edges[0] or mu > edges[-1])
+            dev = theta_deviation(np.concatenate(rom.theta(float(mu))),
+                                  asm.theta(float(mu)), asm.offsets)
+            assert dev <= 1e-12, (mu, dev)
 
 
 def test_rom_builds_assemblers_on_first_read(paper_rom, monkeypatch):
