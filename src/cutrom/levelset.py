@@ -216,11 +216,12 @@ def subset_geometry(mesh: BackgroundMesh, ls, elems,
     spts, sw = _segment_rule(crossing[:, 0], crossing[:, 1])
     grad = _interpolant_gradients(coords[bq_elems], vals[bq_elems])
     nrm = grad / np.linalg.norm(grad, axis=1, keepdims=True)
-    rule = slice(None) if interior else slice(0)
-    iq_points, iq_weights = _midpoint_rule(subs[rule])
+    if not interior:
+        subs, parents = subs[:0], parents[:0]
+    iq_points, iq_weights = _midpoint_rule(subs)
     return SubsetGeometry(
         elems=elems, classification=cls, clipped_area=clipped,
-        iq_parent=np.repeat(parents[rule], 3), iq_points=iq_points,
+        iq_parent=np.repeat(parents, 3), iq_points=iq_points,
         iq_weights=iq_weights,
         bq_parent=np.repeat(bq_elems, 2), bq_points=spts, bq_weights=sw,
         bq_normals=np.repeat(nrm, 2, axis=0))
