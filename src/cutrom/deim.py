@@ -57,14 +57,21 @@ class DeimBasis:
 
     U: np.ndarray                  # (n_rows, m)
     eigenvalues: np.ndarray        # (M,) non-increasing
-    m: int                         # energy cutoff at the build tolerance
-    tolerance: float
+    m: int                         # numerical rank of the snapshots
 
 
-def deim_basis(snaps: OperatorSnapshots, eps: float) -> DeimBasis:
-    """Method of snapshots in the Euclidean inner product."""
-    from .pod import energy_cutoff
+def deim_basis(snaps: OperatorSnapshots) -> DeimBasis:
+    """Method of snapshots in the Euclidean inner product, truncated at the
+    numerical rank of the family: every mode with lambda > lambda_0 M eps
+    (M snapshots, eps the machine epsilon).
 
+    Between breakpoints the operator entries are polynomials in mu, or for
+    b an entire function (see the comment on theta tables below), so each
+    family has a finite numerical rank.  Below lambda_0 M eps the Gram
+    matrix S^T S / M holds only the rounding of its M-term inner products,
+    and a mode there carries nothing of the family; a cut above it leaves
+    directions of the operators out of every model.
+    """
     S = snaps.values
     m_snap = S.shape[1]
     if m_snap < 1:
@@ -78,9 +85,7 @@ def deim_basis(snaps: OperatorSnapshots, eps: float) -> DeimBasis:
         raise NumericalError(
             f"component {snaps.component}: all snapshots are zero")
 
-    rank_tol = lam[0] * m_snap * np.finfo(float).eps
-    n_pos = int(np.sum(lam > rank_tol))
-    m = min(energy_cutoff(lam, eps), n_pos)
+    m = int(np.sum(lam > lam[0] * m_snap * np.finfo(float).eps))
     U = S @ X[:, :m]
     U /= np.sqrt(m_snap * lam[:m])
     # Gram-Schmidt polish: trailing modes sit near the eigensolver noise floor
@@ -89,7 +94,7 @@ def deim_basis(snaps: OperatorSnapshots, eps: float) -> DeimBasis:
         for _ in range(2):
             v -= U[:, :j] @ (U[:, :j].T @ v)
         U[:, j] = v / np.linalg.norm(v)
-    return DeimBasis(U, lam, m, eps)
+    return DeimBasis(U, lam, m)
 
 
 def deim_select(U: np.ndarray):
@@ -337,11 +342,6 @@ class PartialAssembler:
         """``DeimModel.interpolate`` of a one-model assembler's theta."""
         (model,) = self.models
         return model.interpolate(self.theta(mu), self.ctx)
-
-    def projector_apply(self, theta: np.ndarray) -> np.ndarray:
-        """Full pattern values (or DOF vector) interpolated from theta."""
-        (model,) = self.models
-        return self.ctx.expand(model.component, model.projector @ theta)
 
 
 # Theta tables.  The level set is phi_0 - 2 mu (``LevelSetSquare``), so

@@ -7,7 +7,9 @@ aggregated basis and reduced terms are derived from them on every load.
 Snapshots, bases and W hold the rows of the ever-active DOFs and entries
 only (``AssemblyContext.ever_active`` and ``.kept``); the context of the
 config is the one source of that layout, and of the patterns and cut
-candidates the DEIM stage reads.
+candidates the DEIM models read.  The training sweep feeds both snapshot
+families, so the snapshots stage also builds the DEIM models, each at the
+numerical rank of its operator snapshots.
 Online runs solve full and reduced models on a fresh test sample and emit
 deterministic error reports; timings go to their own file so that error
 CSVs are byte-identical across runs.
@@ -52,7 +54,7 @@ TIMING_REPEATS = 11
 # mean relative error of the ROM at stored training parameters that
 # ``verify`` accepts: the error level of acceptance criterion 5
 ROM_TRAINING_TOL = 2e-2
-MANIFEST_FORMAT = 3
+MANIFEST_FORMAT = 4
 VARS = ("y", "u", "p")
 
 
@@ -193,10 +195,17 @@ def training_sweep(params, ctx: AssemblyContext, W):
 # return the entries they add to it.
 
 def _snapshots_build(s):
-    cfg = s["cfg"]
+    """The training sweep, and the DEIM models of its operator snapshots."""
+    cfg, ctx = s["cfg"], s["ctx"]
     params = sample_parameters(cfg.mu_min, cfg.mu_max, cfg.m_train, cfg.seed)
-    snaps, opsnaps = training_sweep(params, s["ctx"], s["W"])
-    return {"params": params, "snapshots": snaps, "opsnaps": opsnaps}
+    snaps, opsnaps = training_sweep(params, ctx, s["W"])
+    models = {}
+    for comp in COMPONENTS:
+        dbasis = deim_basis(opsnaps[comp])
+        models[comp] = model_from_snapshots(dbasis, dbasis.m, opsnaps[comp],
+                                            ctx)
+    return {"params": params, "snapshots": snaps,
+            "deim_models": with_theta_table(models, ctx)}
 
 
 def _snapshots_save(out: Path, s) -> None:
@@ -204,13 +213,41 @@ def _snapshots_save(out: Path, s) -> None:
     for var in VARS:
         save_matrix(out / f"snap_{var}.romb",
                     getattr(s["snapshots"], f"S_{var}"))
+    models = s["deim_models"]
+    save_matrix(out / "deim_theta_edges.romb", models["A"].table.edges)
+    for comp, model in models.items():
+        # (intervals * (degree + 1), m): one interval's series per block
+        save_matrix(out / f"deim_{comp}_theta.romb",
+                    model.table.coefs.reshape(-1, model.m))
+        save_matrix(out / f"deim_{comp}_U.romb", model.U)
+        save_matrix(out / f"deim_{comp}_proj.romb", model.projector)
+        save_matrix(out / f"deim_{comp}_eigs.romb", model.eigenvalues)
+        save_index_list(out / f"deim_{comp}_indices.txt", model.indices)
+        save_index_list(out / f"deim_{comp}_elements.txt",
+                        model.reduced_elements)
+        save_index_list(out / f"deim_{comp}_facets.txt",
+                        model.reduced_facets)
 
 
 def _snapshots_load(out: Path, s):
     params = load_matrix(out / "params_train.romb").ravel()
+    edges = load_matrix(out / "deim_theta_edges.romb").ravel()
+    models = {}
+    for comp in COMPONENTS:
+        coefs = load_matrix(out / f"deim_{comp}_theta.romb")
+        models[comp] = DeimModel(
+            comp, load_matrix(out / f"deim_{comp}_U.romb"),
+            load_index_list(out / f"deim_{comp}_indices.txt"),
+            load_matrix(out / f"deim_{comp}_proj.romb"),
+            load_index_list(out / f"deim_{comp}_elements.txt"),
+            load_index_list(out / f"deim_{comp}_facets.txt"),
+            load_matrix(out / f"deim_{comp}_eigs.romb").ravel(),
+            ThetaTable(edges, coefs.reshape(edges.size - 1, -1,
+                                            coefs.shape[1])))
     return {"params": params,
             "snapshots": SnapshotSet(params, *(
-                load_matrix(out / f"snap_{var}.romb") for var in VARS))}
+                load_matrix(out / f"snap_{var}.romb") for var in VARS)),
+            "deim_models": models}
 
 
 def _pod_build(s):
@@ -237,53 +274,6 @@ def _pod_load(out: Path, s):
     return {"pod": pod}
 
 
-def _deim_build(s):
-    cfg, ctx = s["cfg"], s["ctx"]
-    # without a snapshots build in this run, the sweep is repeated for the
-    # operator snapshots and its solutions are discarded
-    opsnaps = s.get("opsnaps") or training_sweep(s["params"], ctx, s["W"])[1]
-    models = {}
-    for comp in COMPONENTS:
-        dbasis = deim_basis(opsnaps[comp], cfg.eps_deim)
-        models[comp] = model_from_snapshots(dbasis, dbasis.m, opsnaps[comp],
-                                            ctx)
-    return {"deim_models": with_theta_table(models, ctx)}
-
-
-def _deim_save(out: Path, s) -> None:
-    models = s["deim_models"]
-    save_matrix(out / "deim_theta_edges.romb", models["A"].table.edges)
-    for comp, model in models.items():
-        # (intervals * (degree + 1), m): one interval's series per block
-        save_matrix(out / f"deim_{comp}_theta.romb",
-                    model.table.coefs.reshape(-1, model.m))
-        save_matrix(out / f"deim_{comp}_U.romb", model.U)
-        save_matrix(out / f"deim_{comp}_proj.romb", model.projector)
-        save_matrix(out / f"deim_{comp}_eigs.romb", model.eigenvalues)
-        save_index_list(out / f"deim_{comp}_indices.txt", model.indices)
-        save_index_list(out / f"deim_{comp}_elements.txt",
-                        model.reduced_elements)
-        save_index_list(out / f"deim_{comp}_facets.txt",
-                        model.reduced_facets)
-
-
-def _deim_load(out: Path, s):
-    edges = load_matrix(out / "deim_theta_edges.romb").ravel()
-    models = {}
-    for comp in COMPONENTS:
-        coefs = load_matrix(out / f"deim_{comp}_theta.romb")
-        models[comp] = DeimModel(
-            comp, load_matrix(out / f"deim_{comp}_U.romb"),
-            load_index_list(out / f"deim_{comp}_indices.txt"),
-            load_matrix(out / f"deim_{comp}_proj.romb"),
-            load_index_list(out / f"deim_{comp}_elements.txt"),
-            load_index_list(out / f"deim_{comp}_facets.txt"),
-            load_matrix(out / f"deim_{comp}_eigs.romb").ravel(),
-            ThetaTable(edges, coefs.reshape(edges.size - 1, -1,
-                                            coefs.shape[1])))
-    return {"deim_models": models}
-
-
 class _Stage(NamedTuple):
     reads: tuple[str, ...]     # stages whose results the build step uses
     keys: tuple[str, ...]      # RunConfig keys the build step uses
@@ -299,7 +289,6 @@ STAGE_TABLE = dict(zip(STAGES, (
            _snapshots_build, _snapshots_save, _snapshots_load),
     _Stage(("snapshots",), ("eps_pod", "pod_store"),
            _pod_build, _pod_save, _pod_load),
-    _Stage(("snapshots",), ("eps_deim",), _deim_build, _deim_save, _deim_load),
 )))
 
 
@@ -387,11 +376,10 @@ def _walk(cfg: RunConfig, ctx: AssemblyContext, W, out: Path,
                 raise ConfigError(f"stage '{name}' in {out} is unreadable "
                                   f"({exc}); rerun offline with '{name}' "
                                   f"in stages") from exc
-    if "pod" in state:
+    if "pod" in state:      # read snapshots, so the DEIM models are there
         state["basis"] = _aggregated(state["pod"], ctx, W)
-        if "deim_models" in state:
-            state["rom"] = precompute_reduced_terms(
-                state["basis"], state["deim_models"], ctx, cfg.alpha)
+        state["rom"] = precompute_reduced_terms(
+            state["basis"], state["deim_models"], ctx, cfg.alpha)
     get = state.get
     return OfflineBundle(cfg, ctx.mesh, ctx, W, get("params"),
                          get("snapshots"), get("pod"), get("basis"),

@@ -20,7 +20,7 @@ from .errors import ConfigError
 MAGIC = b"ROMB"
 VERSION = 1
 # offline stages in build order; 'stages' selects a subset of them
-STAGES = ("snapshots", "pod", "deim")
+STAGES = ("snapshots", "pod")
 
 
 def save_matrix(path, matrix: np.ndarray) -> None:
@@ -114,7 +114,6 @@ class RunConfig:
     m_test: int = 30
     seed: int = 20240
     eps_pod: float = 1e-5
-    eps_deim: float = 1e-10
     pod_store: int = 40
     case: str = "square_poisson"
     out_dir: str = "rom_out"
@@ -180,8 +179,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("seed must be non-negative")
     if min(cfg.alpha, cfg.gamma_d, cfg.gamma_1) <= 0:
         raise ConfigError("alpha, gamma_d, gamma_1 must be positive")
-    if not (0 <= cfg.eps_pod < 1 and 0 <= cfg.eps_deim < 1):
-        raise ConfigError("tolerances must lie in [0, 1)")
+    if not 0 <= cfg.eps_pod < 1:
+        raise ConfigError("eps_pod must lie in [0, 1)")
     selected_stages(cfg)
 
 

@@ -55,7 +55,7 @@ def paper_rom():
                             mesh.dof_count)
     models = {}
     for comp in "AMbc":
-        db = deim_basis(opsnaps[comp], eps=1e-10)
+        db = deim_basis(opsnaps[comp])
         models[comp] = model_from_snapshots(db, db.m, opsnaps[comp], ctx)
     return ctx, precompute_reduced_terms(basis, models, ctx, case.alpha)
 

@@ -428,6 +428,13 @@ def sliced_condensed(ops: ParametricOperators, alpha: float) -> sp.csc_matrix:
                 np.concatenate([M_aa.col, A_aa.col]))), shape=M_aa.shape)
 
 
+def projector_apply(asm: PartialAssembler, theta) -> np.ndarray:
+    """Full pattern values (or DOF vector) interpolated from the theta of a
+    one-model assembler."""
+    (model,) = asm.models
+    return asm.ctx.expand(model.component, model.projector @ theta)
+
+
 def report_deim_errors(bundle, mus, deim_dims=None):
     """The DEIM errors of ``run_online`` through each truncated model's own
     theta (its table, or its ``PartialAssembler`` next to a breakpoint)

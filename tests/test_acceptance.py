@@ -20,7 +20,8 @@ from cutrom.pipeline import MODES_SWEEP, build_problem, median_time, \
     run_offline, run_online, sample_test_parameters
 from cutrom.pod import energy_cutoff
 from cutrom.rom import assemble_reduced_system
-from oracles import direct_projection, reduced_blocks_from_exact
+from oracles import direct_projection, projector_apply, \
+    reduced_blocks_from_exact
 
 SEED = 20240
 
@@ -36,7 +37,7 @@ def bench(tmp_path_factory):
     """Offline bundle at the benchmark resolution plus cached test solves."""
     out = tmp_path_factory.mktemp("accept")
     cfg = RunConfig(h_target=0.09, m_train=120, m_test=30, seed=SEED,
-                    eps_pod=1e-5, eps_deim=0.0, pod_store=40,
+                    eps_pod=1e-5, pod_store=40,
                     out_dir=str(out))
     t0 = time.perf_counter()
     bundle = run_offline(cfg)
@@ -105,7 +106,7 @@ def test_criterion_3_deim_interpolation_exactness(bench):
         exact = {"A": o.a_values, "M": o.m_values, "b": o.b, "c": o.c}
         for comp, model in bundle.deim_models.items():
             asm = bundle.rom.assemblers[comp]
-            recon = asm.projector_apply(asm.theta(o.mu))
+            recon = projector_apply(asm, asm.theta(o.mu))
             recon_sel = recon[model.indices]
             ref = exact[comp][model.indices]
             scale = np.abs(ref).max() + 1e-300
@@ -241,7 +242,7 @@ def test_criterion_7_pod_spectra(bench):
 def speed_setup(tmp_path_factory):
     out = tmp_path_factory.mktemp("speed")
     cfg = RunConfig(h_target=0.0225, m_train=25, m_test=5, seed=SEED,
-                    eps_pod=1e-5, eps_deim=1e-10, pod_store=20,
+                    eps_pod=1e-5, pod_store=20,
                     out_dir=str(out))
     bundle = run_offline(cfg)
     return cfg, bundle

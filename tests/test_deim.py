@@ -7,6 +7,7 @@ from cutrom.deim import OperatorSnapshots, PartialAssembler, \
     model_from_snapshots, truncate_model
 from cutrom.errors import NumericalError
 from cutrom.mesh import vertex_to_elements
+from oracles import projector_apply
 
 
 def _vector_snaps(values):
@@ -20,7 +21,7 @@ def test_rank_one_family():
     a0 = rng.standard_normal(50)
     thetas = rng.uniform(0.5, 2.0, 12)
     snaps = _vector_snaps(np.outer(a0, thetas))
-    basis = deim_basis(snaps, eps=1e-12)
+    basis = deim_basis(snaps)
     assert basis.m == 1
     u = basis.U[:, 0]
     assert abs(abs(u @ a0) / np.linalg.norm(a0) - 1.0) <= 1e-12
@@ -32,7 +33,7 @@ def test_affine_two_term_family():
     a2 = rng.standard_normal(80)
     th = rng.uniform(-1, 1, size=(2, 20))
     snaps = _vector_snaps(np.outer(a1, th[0]) + np.outer(a2, th[1]))
-    basis = deim_basis(snaps, eps=0.0)
+    basis = deim_basis(snaps)
     assert basis.m == 2
     indices, projector = deim_select(basis.U[:, :2])
     # any member of the family is reconstructed exactly from its 2 entries
@@ -41,11 +42,11 @@ def test_affine_two_term_family():
     assert np.abs(recon - fresh).max() <= 1e-11 * np.abs(fresh).max()
 
 
-def test_eps_zero_gives_numerical_rank():
+def test_dimension_is_numerical_rank():
     rng = np.random.default_rng(2)
     base = rng.standard_normal((60, 3))
     coeff = rng.standard_normal((3, 15))
-    basis = deim_basis(_vector_snaps(base @ coeff), eps=0.0)
+    basis = deim_basis(_vector_snaps(base @ coeff))
     assert basis.m == 3
 
 
@@ -162,7 +163,7 @@ def deim_models(operator_snaps, coarse_problem):
     ctx = coarse_problem["ctx"]
     models = {}
     for comp in "AMbc":
-        basis = deim_basis(operator_snaps[comp], eps=0.0)
+        basis = deim_basis(operator_snaps[comp])
         models[comp] = model_from_snapshots(basis, basis.m,
                                             operator_snaps[comp], ctx)
     return models
@@ -194,7 +195,7 @@ def test_indices_distinct_and_facet_free_vectors(deim_models,
 
 def test_training_reconstruction_exact(deim_models, operator_snaps,
                                        coarse_problem):
-    # eps = 0 basis: every training operator lies in the interpolation span.
+    # rank basis: every training operator lies in the interpolation span.
     # The stiffness, mass and forcing families are piecewise polynomial in
     # the parameter and exactly low rank; the target-moment family is
     # transcendental, so its tail sits below the fp64 eigenvalue noise
@@ -206,7 +207,7 @@ def test_training_reconstruction_exact(deim_models, operator_snaps,
     tol = {"A": 1e-10, "M": 1e-10, "b": 1e-7, "c": 1e-10}
     for comp, model in deim_models.items():
         asm = PartialAssembler(model, ctx)
-        vals = asm.projector_apply(asm.theta(mu))
+        vals = projector_apply(asm, asm.theta(mu))
         scale = np.abs(exact[comp]).max()
         assert np.abs(vals - exact[comp]).max() <= tol[comp] * scale
 
@@ -318,7 +319,7 @@ def test_reduced_mesh_size_at_benchmark_resolution(bench_mesh, bench_faces):
                           mu_range=(0.4, 0.5))
     params = np.linspace(0.4, 0.5, 20)
     snaps = training_sweep(params, ctx, box_mass_matrix(bench_mesh))[1]
-    basis = deim_basis(snaps["A"], eps=1e-10)
+    basis = deim_basis(snaps["A"])
     model = model_from_snapshots(basis, min(5, basis.m), snaps["A"], ctx)
     assert 6 <= model.reduced_elements.size <= 150
     assert 6 <= model.reduced_facets.size <= 250

@@ -118,8 +118,8 @@ def test_built_and_reloaded_bundle_agree_bitwise(tiny_bundle):
 
 
 def test_bundle_without_theta_table_exits_2(tiny_bundle, tmp_path, capsys):
-    # a bundle written before the deim stage stored its theta table fails
-    # that stage's load with the rerun hint
+    # a bundle without its theta table fails the load of the snapshots
+    # stage, which stores the DEIM models, with the rerun hint
     import shutil
 
     out = tmp_path / "old"
@@ -130,8 +130,15 @@ def test_bundle_without_theta_table_exits_2(tiny_bundle, tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, **TINY, out_dir=str(out))
     assert cli_main(["online", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert "stage 'deim'" in err and "rerun offline with 'deim'" in err
-    cfg_path = _write_cfg(tmp_path, **TINY, out_dir=str(out), stages="deim")
+    assert "stage 'snapshots'" in err \
+        and "rerun offline with 'snapshots'" in err
+    cfg_path = _write_cfg(tmp_path, **TINY, out_dir=str(out),
+                          stages="snapshots")
+    assert cli_main(["offline", "--config", str(cfg_path)]) == 0
+    # the rerun dropped the record of pod, which reads snapshots
+    assert cli_main(["online", "--config", str(cfg_path)]) == 2
+    assert "stage 'pod'" in capsys.readouterr().err
+    cfg_path = _write_cfg(tmp_path, **TINY, out_dir=str(out), stages="pod")
     assert cli_main(["offline", "--config", str(cfg_path)]) == 0
     assert cli_main(["online", "--config", str(cfg_path)]) == 0
 
@@ -204,6 +211,28 @@ def test_online_reports(tiny_bundle):
     errs, _ = relative_error(full, sol, ops.M)
     for k in range(3):
         assert abs(float(rows[0][1 + k]) - errs[k]) <= 1e-14
+
+
+def test_deim_at_rank_keeps_modes_sweep_decaying(tmp_path):
+    # every DEIM dimension is the numerical rank of its operator snapshots,
+    # and with it the k=25 row of modes_sweep.csv is no worse than the k=15
+    # one; DEIM models cut below that rank met the richer k=25 basis and
+    # made it worse (up to 54 times at the default config, 2.7 times here,
+    # the cheapest variant of it where the cut showed)
+    out = tmp_path / "b"
+    cfg = RunConfig(m_train=120, m_test=10, out_dir=str(out))
+    run_offline(cfg)
+    run_online(cfg)
+    _, rows = read_csv(out / "offline_summary.csv")
+    dims = {comp: int(v) for rec, comp, _, v in rows if rec == "deim_dim"}
+    for comp, m in dims.items():
+        lam = np.array([float(v) for rec, c, _, v in rows
+                        if rec == "deim_eigenvalue" and c == comp])
+        assert m == np.sum(lam > lam[0] * lam.size * np.finfo(float).eps)
+    assert set(dims) == set("AMbc")
+    _, rows = read_csv(out / "modes_sweep.csv")
+    errs = {int(k): [float(e) for e in row] for k, _, *row in rows}
+    assert all(a <= b for a, b in zip(errs[25], errs[15])), errs
 
 
 def test_deim_sweep_row_of_model_dimension_is_main_loop_mean(tiny_bundle,
@@ -351,12 +380,16 @@ def test_stage_selectors_reuse_artifacts(tmp_path):
     out = tmp_path / "staged"
     base = dict(TINY, out_dir=str(out))
     run_offline(RunConfig(**{**base, "stages": "snapshots"}))
+    # the training sweep's operator snapshots give the DEIM models
     assert (out / "snap_y.romb").is_file()
-    assert not (out / "pod_basis_y.romb").exists()
-    snap_mtime = (out / "snap_y.romb").stat().st_mtime_ns
-    run_offline(RunConfig(**{**base, "stages": "pod,deim"}))
-    assert (out / "snap_y.romb").stat().st_mtime_ns == snap_mtime
     assert (out / "deim_A_proj.romb").is_file()
+    assert not (out / "pod_basis_y.romb").exists()
+    mtimes = {name: (out / name).stat().st_mtime_ns
+              for name in ("snap_y.romb", "deim_A_proj.romb")}
+    run_offline(RunConfig(**{**base, "stages": "pod"}))
+    assert {name: (out / name).stat().st_mtime_ns
+            for name in mtimes} == mtimes
+    assert (out / "pod_basis_y.romb").is_file()
     # the staged bundle is equivalent to a single-shot run
     staged = load_bundle(out)
     full = run_offline(RunConfig(**TINY, out_dir=str(tmp_path / "oneshot")))
@@ -449,7 +482,8 @@ def test_cli_error_codes(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
     for key, value in (("case", "nope"), ("mu_min", "0"), ("seed", "-1"),
-                       ("box_min_x", "3.0")):
+                       ("box_min_x", "3.0"), ("eps_deim", "1e-10"),
+                       ("stages", "deim")):
         bad = _write_cfg(tmp_path, h_target=0.3, m_train=4, m_test=2,
                          out_dir=str(tmp_path / "bad"), **{key: value})
         assert cli_main(["offline", "--config", str(bad)]) == 2
@@ -490,11 +524,10 @@ def test_pod_rerun_serves_online_at_once(tmp_path):
 def test_snapshot_rerun_with_new_seed_is_rejected_online(tmp_path, capsys):
     out = tmp_path / "b"
     assert _cli(tmp_path, "offline", out) == 0
-    assert _cli(tmp_path, "offline", out, stages="snapshots,pod",
-                seed=15) == 0
+    assert _cli(tmp_path, "offline", out, stages="snapshots", seed=15) == 0
     capsys.readouterr()
     assert _cli(tmp_path, "online", out, seed=15) == 2
-    assert "'deim'" in capsys.readouterr().err
+    assert "'pod'" in capsys.readouterr().err
     assert _cli(tmp_path, "online", out) == 2
 
 
@@ -503,24 +536,27 @@ def test_deim_rerun_against_other_seed_writes_nothing(tmp_path, capsys):
     assert _cli(tmp_path, "offline", out) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
-    assert _cli(tmp_path, "offline", out, stages="deim", seed=6) == 2
+    assert _cli(tmp_path, "offline", out, stages="pod", seed=6) == 2
     err = capsys.readouterr().err
     assert "'snapshots'" in err and "seed=5" in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_format_2_manifest_is_rejected(tmp_path):
-    # format 2 stored every row of the snapshots and bases
+    # format 2 stored every row of the snapshots and bases; format 3 cut
+    # the DEIM models below the rank of the operator snapshots
     import json
 
     out = tmp_path / "b"
     assert _cli(tmp_path, "offline", out) == 0
     path = out / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    path.write_text(json.dumps({**manifest, "format": 2}), encoding="utf-8")
-    assert _cli(tmp_path, "online", out) == 2
-    assert _cli(tmp_path, "verify", out) == 2
-    assert _cli(tmp_path, "offline", out, stages="pod") == 2
+    for fmt in (2, 3):
+        path.write_text(json.dumps({**manifest, "format": fmt}),
+                        encoding="utf-8")
+        assert _cli(tmp_path, "online", out) == 2
+        assert _cli(tmp_path, "verify", out) == 2
+        assert _cli(tmp_path, "offline", out, stages="pod") == 2
     assert _cli(tmp_path, "offline", out) == 0
     assert _cli(tmp_path, "online", out) == 0
 
@@ -574,20 +610,20 @@ def test_full_residual_in_timings(tiny_bundle):
 
 
 def test_rerun_drops_records_of_removed_stages(tmp_path):
-    # a record of a stage that no longer exists ('rom') is dropped when a
-    # rerun rewrites the manifest
+    # records of stages that no longer exist ('rom', 'deim') are dropped
+    # when a rerun rewrites the manifest
     import json
 
     out = tmp_path / "b"
     assert _cli(tmp_path, "offline", out) == 0
     path = out / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    manifest["stages"]["rom"] = dict(manifest["stages"]["pod"])
+    for gone in ("rom", "deim"):
+        manifest["stages"][gone] = dict(manifest["stages"]["pod"])
     path.write_text(json.dumps(manifest), encoding="utf-8")
     assert _cli(tmp_path, "offline", out, stages="pod") == 0
     stages = json.loads(path.read_text(encoding="utf-8"))["stages"]
-    assert "rom" not in stages
-    assert set(stages) == {"snapshots", "pod", "deim"}
+    assert set(stages) == {"snapshots", "pod"}
 
 
 def test_artifact_io_goes_through_pipeline_namespace(tmp_path, monkeypatch):

@@ -29,7 +29,7 @@ def rom_setup(coarse_problem):
                             ctx.ever_active, mesh.dof_count)
     models = {}
     for comp in "AMbc":
-        db = deim_basis(opsnaps[comp], eps=0.0)
+        db = deim_basis(opsnaps[comp])
         models[comp] = model_from_snapshots(db, db.m, opsnaps[comp], ctx)
     rom = precompute_reduced_terms(basis, models, ctx, ctx.case.alpha)
     return {"ctx": ctx, "basis": basis, "models": models, "rom": rom,
@@ -191,7 +191,7 @@ def test_online_cost_independent_of_mesh_size():
                                 mesh.dof_count)
         models = {}
         for comp in "AMbc":
-            db = deim_basis(opsnaps[comp], eps=0.0)
+            db = deim_basis(opsnaps[comp])
             models[comp] = model_from_snapshots(db, min(5, db.m),
                                                 opsnaps[comp], ctx)
         roms[h] = precompute_reduced_terms(basis, models, ctx, case.alpha)

@@ -124,8 +124,9 @@ def test_config_validation():
         validate_config(RunConfig(m_train=1))
     with pytest.raises(ConfigError):
         validate_config(RunConfig(stages="pod,unknown"))
-    with pytest.raises(ConfigError):
-        validate_config(RunConfig(stages="rom"))
+    for stages in ("rom", "deim"):
+        with pytest.raises(ConfigError):
+            validate_config(RunConfig(stages=stages))
     with pytest.raises(ConfigError):
         validate_config(RunConfig(eps_pod=1.5))
     with pytest.raises(ConfigError, match="nope"):
