@@ -195,11 +195,12 @@ class AssemblyContext:
     and the parameter range; the snapshot, DEIM and online stages read it
     here.  ``patterns[component]`` is the union pattern of A or M (None
     for b and c), and ``cut_candidate`` marks the elements that can be cut
-    in the range (every element without a range).  By monotonicity of the
-    level-set family in mu, no element outside the square at mu_max is ever
-    active, so only the DOFs of the other elements (``ever_active``,
-    ascending) can be nonzero in a solution, b or c, and only the pattern
-    entries with both row and column among them in A or M.
+    in the range (every element without a range), ``pattern_facets`` the
+    interior faces with such a side.  By monotonicity of the level-set
+    family in mu, no element outside the square at mu_max is ever active,
+    so only the DOFs of the other elements (``ever_active``, ascending)
+    can be nonzero in a solution, b or c, and only the pattern entries
+    with both row and column among them in A or M.
     ``kept[component]`` holds these entries as ascending offsets into the
     component's values (pattern offsets for A and M, DOF ids for b and c);
     without a parameter range every DOF is kept.  ``expand``,
@@ -237,7 +238,8 @@ class AssemblyContext:
             cand = cut_candidates(mesh, *mu_range, center)
             reach = ~outside_elements(mesh, mu_range[1], center)
         self.cut_candidate = cand
-        faces = np.flatnonzero(inter & (cand[left] | cand[right]))
+        self.pattern_facets = faces = np.flatnonzero(
+            inter & (cand[left] | cand[right]))
         n = mesh.dof_count
         self.pattern_A = SparsityPattern(
             n, [mesh.elements, self.face_dofs6[faces]])

@@ -23,7 +23,7 @@ take the context where they need the layout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -31,7 +31,6 @@ from numpy.polynomial import chebyshev
 from .assembly import AssemblyContext
 from .errors import NumericalError
 from .levelset import GHOST_PAIR, LevelSetSquare, subset_geometry
-from .mesh import vertex_to_elements
 
 COMPONENTS = ("A", "M", "b", "c")
 
@@ -130,71 +129,42 @@ def deim_select(U: np.ndarray):
     return indices, projector
 
 
-def build_reduced_mesh(pairs: np.ndarray, ctx: AssemblyContext,
+def build_reduced_mesh(indices: np.ndarray, ctx: AssemblyContext,
                        component: str):
-    """Smallest element set whose partial assembly covers all entries.
+    """Smallest element set whose partial assembly covers the selected
+    offsets ``indices`` (DOF ids for b and c).
 
-    An element joins when its DOF set contains both indices of a selected
-    pair (or the single index for vector components).  For the stiffness
-    component, pairs coupled only through a gradient-jump facet pull in
-    that facet with both its neighbors, and every potential ghost facet of
-    an included element (one with a side in ``ctx.cut_candidate``) is
-    recorded with its across-facet neighbor so the online jump terms are
-    complete for any parameter value of the range.
+    An element joins when its row of ``ctx.elem_offsets[component]`` (of
+    ``mesh.elements`` for b and c) holds a selected offset.  For A, an
+    offset that no element holds pulls in the pattern facet whose
+    ``ctx.ghost_offsets`` row holds it, and every pattern facet of an
+    included element joins with both its neighbors, so the online jump
+    terms are complete for any parameter value of the range.
     """
-    mesh, face_table = ctx.mesh, ctx.face_table
-    indptr, v2e = vertex_to_elements(mesh)
-
-    def elems_of(v: int) -> np.ndarray:
-        return v2e[indptr[v]:indptr[v + 1]]
-
-    elements: set[int] = set()
-    facets: set[int] = set()
-    pairs = np.atleast_1d(np.asarray(pairs, dtype=np.int64))
-
-    if component in ("b", "c") or pairs.ndim == 1:
-        for i in pairs.ravel():
-            covering = elems_of(int(i))
-            if covering.size == 0:
-                raise NumericalError(
-                    f"selected DOF {i} is covered by no element")
-            elements.update(int(e) for e in covering)
-    else:
-        interior = face_table.face_right >= 0
-        for i, j in pairs:
-            common = np.intersect1d(elems_of(int(i)), elems_of(int(j)))
-            if common.size:
-                elements.update(int(e) for e in common)
-                continue
-            if component != "A":
-                raise NumericalError(
-                    f"pair ({i}, {j}) shares no element (pattern bug)")
-            near = np.unique(np.concatenate([elems_of(int(i)),
-                                             elems_of(int(j))]))
-            cand = np.unique(face_table.element_to_faces[near].ravel())
-            cand = cand[interior[cand]]
-            hit = cand[np.any(ctx.face_dofs6[cand] == i, axis=1)
-                       & np.any(ctx.face_dofs6[cand] == j, axis=1)]
-            if hit.size == 0:
-                raise NumericalError(
-                    f"pair ({i}, {j}) is covered by no element or facet")
-            facets.update(int(f) for f in hit)
-            elements.update(int(e) for e in face_table.face_left[hit])
-            elements.update(int(e) for e in face_table.face_right[hit])
-
+    ft = ctx.face_table
+    indices = np.asarray(indices, dtype=np.int64)
+    vector = component in ("b", "c")
+    table = ctx.mesh.elements if vector else ctx.elem_offsets[component]
+    size = ctx.mesh.dof_count if vector else ctx.patterns[component].nnz
+    # one flag per offset, and one for the offset size, which no entry has
+    unheld = np.zeros(size + 1, dtype=bool)
+    unheld[indices] = True
+    elements = np.flatnonzero(unheld[table].any(axis=1))
+    unheld[table[elements]] = False
+    facets = np.zeros(0, dtype=np.int64)
     if component == "A":
-        for e in sorted(elements):
-            for f in face_table.element_to_faces[e]:
-                left, right = face_table.face_left[f], face_table.face_right[f]
-                if right < 0:
-                    continue
-                if ctx.cut_candidate[left] or ctx.cut_candidate[right]:
-                    facets.add(int(f))
-                    elements.add(int(left))
-                    elements.add(int(right))
-
-    return (np.array(sorted(elements), dtype=np.int64),
-            np.array(sorted(facets), dtype=np.int64))
+        pattern = ctx.pattern_facets
+        hit = pattern[unheld[ctx.ghost_offsets(pattern)].any(axis=1)]
+        elements = np.union1d(elements, np.concatenate(
+            [ft.face_left[hit], ft.face_right[hit]]))
+        facets = np.intersect1d(ft.element_to_faces[elements], pattern)
+        elements = np.union1d(elements, np.concatenate(
+            [ft.face_left[facets], ft.face_right[facets]]))
+        unheld[ctx.ghost_offsets(facets)] = False
+    if unheld.any():
+        raise NumericalError(f"{component} entries {np.flatnonzero(unheld)}"
+                             " are held by no element or facet")
+    return elements, facets
 
 
 @dataclass
@@ -213,7 +183,6 @@ class DeimModel:
     reduced_elements: np.ndarray
     reduced_facets: np.ndarray
     eigenvalues: np.ndarray
-    table: ThetaTable | None = None    # theta(mu) of this model's entries
 
     @property
     def m(self) -> int:
@@ -234,11 +203,7 @@ def make_deim_model(U: np.ndarray, eigenvalues: np.ndarray, m: int,
     """Select indices for the first m modes and detect the reduced mesh."""
     local, projector = deim_select(U[:, :m])
     indices = ctx.kept[component][local]
-    pattern = ctx.patterns[component]
-    # DOF pairs of the selected matrix entries; DOFs for the vectors
-    pairs = indices if pattern is None else \
-        np.column_stack([pattern.rows[indices], pattern.cols[indices]])
-    elements, facets = build_reduced_mesh(pairs, ctx, component)
+    elements, facets = build_reduced_mesh(indices, ctx, component)
     return DeimModel(component, U[:, :indices.size].copy(), indices,
                      projector, elements, facets,
                      np.asarray(eigenvalues, dtype=float))
@@ -252,17 +217,10 @@ def model_from_snapshots(basis: DeimBasis, m: int, snaps: OperatorSnapshots,
 
 def truncate_model(model: DeimModel, m: int,
                    ctx: AssemblyContext) -> DeimModel:
-    """Rebuild a model from the first m stored modes (m <= model.m).
-
-    Greedy indices are nested, so the truncated model's entries are the
-    first ones of the model and its table is the first columns of the
-    model's table.
-    """
-    sub = make_deim_model(model.U, model.eigenvalues, m, model.component,
-                          ctx)
-    if model.table is None:
-        return sub
-    return replace(sub, table=model.table.columns(0, sub.m))
+    """Rebuild a model from the first m stored modes (m <= model.m); greedy
+    indices are nested, so its entries are the model's first ones."""
+    return make_deim_model(model.U, model.eigenvalues, m, model.component,
+                           ctx)
 
 
 class PartialAssembler:
@@ -395,16 +353,9 @@ class ThetaTable:
     def degree(self) -> int:
         return self.coefs.shape[1] - 1
 
-    def columns(self, lo: int, hi: int) -> ThetaTable:
-        return ThetaTable(self.edges, self.coefs[:, :, lo:hi])
-
-    @classmethod
-    def concatenate(cls, tables) -> ThetaTable:
-        """One table of the columns of ``tables``, which share edges."""
-        edges = tables[0].edges
-        if any(not np.array_equal(t.edges, edges) for t in tables):
-            raise ValueError("theta tables of different intervals")
-        return cls(edges, np.concatenate([t.coefs for t in tables], axis=2))
+    def columns(self, index) -> ThetaTable:
+        """The table of the columns ``index`` (an index array)."""
+        return ThetaTable(self.edges, self.coefs[:, :, index])
 
     def evaluate(self, mu: float, k: int) -> np.ndarray:
         """The series of interval k at mu.  Chebyshev's recurrence runs
@@ -479,17 +430,6 @@ def build_theta_table(models, ctx: AssemblyContext) -> ThetaTable:
     raise NumericalError(
         f"theta table: deviation {worst:.2e} from partial assembly at "
         f"degree {degree} exceeds {THETA_TABLE_TOL:.0e}")
-
-
-def with_theta_table(models: dict[str, DeimModel],
-                     ctx: AssemblyContext) -> dict[str, DeimModel]:
-    """The models, each with its columns of one table of their fused
-    theta (in ``COMPONENTS`` order)."""
-    ordered = [models[comp] for comp in COMPONENTS]
-    table = build_theta_table(ordered, ctx)
-    offsets = np.cumsum([0] + [model.m for model in ordered])
-    return {model.component: replace(model, table=table.columns(lo, hi))
-            for model, lo, hi in zip(ordered, offsets, offsets[1:])}
 
 
 def spectral_norm(mat, iters: int = 120) -> float:

@@ -75,6 +75,15 @@ def snap_values(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
+def element_states(vals: np.ndarray) -> np.ndarray:
+    """INSIDE (all three snapped vertex values negative), OUTSIDE (all
+    non-negative: a zero counts as outside) or CUT, per row of (k, 3)."""
+    neg = vals < 0.0
+    # column by column: cheaper than a reduction over the short last axis
+    return np.where(neg[:, 0] & neg[:, 1] & neg[:, 2], INSIDE,
+                    np.where(neg[:, 0] | neg[:, 1] | neg[:, 2], CUT, OUTSIDE))
+
+
 _NEXT_VERTEX = np.array([1, 2, 0])
 
 
@@ -175,16 +184,13 @@ def subset_geometry(mesh: BackgroundMesh, ls, elems,
     vals = snap_values(ls(coords.reshape(-1, 2)).reshape(-1, 3))
 
     neg = vals < 0.0
-    nneg = neg.sum(axis=1)
-    cls = np.full(elems.shape[0], CUT, dtype=np.int8)
-    cls[nneg == 3] = INSIDE
-    cls[nneg == 0] = OUTSIDE
+    cls = element_states(vals)
 
     # active elements, the vertices of a cut one rotated to start at its
     # lone vertex (negative, or the one of the other sign); INSIDE ones
     # keep their order
     clip = np.flatnonzero(cls != OUTSIDE)
-    one_neg = nneg[clip] == 1
+    one_neg = neg[clip].sum(axis=1) == 1
     rot = _ROTATE[np.argmax(neg[clip] == one_neg[:, None], axis=1)]
     tri = coords[clip[:, None], rot]                        # (c, 3, 2)
     f = vals[clip[:, None], rot]
@@ -268,15 +274,9 @@ def classify_elements(mesh: BackgroundMesh, face_table: FaceTable,
     submesh (and of the box) are excluded.  No quadrature is built.
     """
     vals = snap_values(ls(mesh.vertices)[mesh.elements])
-    neg = vals < 0.0
-    pos = vals >= 0.0
-    cls = np.full(mesh.n_elements + 1, CUT, dtype=np.int8)
-    cls[:-1][neg[:, 0] & neg[:, 1] & neg[:, 2]] = INSIDE
-    cls[:-1][pos[:, 0] & pos[:, 1] & pos[:, 2]] = OUTSIDE
     # the extra last entry stands for the missing neighbour (index -1) of
     # a box boundary face
-    cls[-1] = OUTSIDE
-
+    cls = np.append(element_states(vals), OUTSIDE)
     ghost = np.flatnonzero(GHOST_PAIR[3 * cls[face_table.face_left]
                                        + cls[face_table.face_right]])
     cls = cls[:-1]
@@ -296,9 +296,9 @@ def cut_candidates(mesh: BackgroundMesh, mu_min: float, mu_max: float,
     outside for the whole range iff it is outside at mu_max, and inside iff
     it is inside at mu_min.
     """
-    v_lo = snap_values(LevelSetSquare(mu_min, center)(mesh.vertices)[mesh.elements])
-    always_inside = (v_lo < 0.0).all(axis=1)
-    return ~(always_inside | outside_elements(mesh, mu_max, center))
+    v_lo = LevelSetSquare(mu_min, center)(mesh.vertices)[mesh.elements]
+    return (element_states(snap_values(v_lo)) != INSIDE) \
+        & ~outside_elements(mesh, mu_max, center)
 
 
 def outside_elements(mesh: BackgroundMesh, mu: float,
@@ -306,4 +306,4 @@ def outside_elements(mesh: BackgroundMesh, mu: float,
     """Elements classified OUTSIDE at mu; by monotonicity in mu, at mu_max
     these are the elements that stay outside for the whole range."""
     vals = LevelSetSquare(mu, center)(mesh.vertices)[mesh.elements]
-    return (snap_values(vals) >= 0.0).all(axis=1)
+    return element_states(snap_values(vals)) == OUTSIDE

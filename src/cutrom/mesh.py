@@ -159,16 +159,3 @@ def p1_gradients(mesh: BackgroundMesh) -> np.ndarray:
     grads /= area2[:, None, None]
     return grads
 
-
-def vertex_to_elements(mesh: BackgroundMesh) -> tuple[np.ndarray, np.ndarray]:
-    """CSR-style adjacency: elements incident to each vertex.
-
-    Returns (indptr, elems) so that elems[indptr[v]:indptr[v+1]] lists the
-    elements containing vertex v, in ascending order.
-    """
-    flat = mesh.elements.ravel()
-    order = np.argsort(flat, kind="stable")
-    elems = order // 3
-    counts = np.bincount(flat, minlength=mesh.dof_count)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return indptr.astype(np.int64), elems.astype(np.int64)

@@ -32,8 +32,8 @@ import scipy.sparse as sp
 from .assembly import AssemblyContext, assemble_operators, \
     box_mass_matrix, get_case
 from .deim import COMPONENTS, DeimModel, OperatorSnapshots, ThetaTable, \
-    deim_basis, model_from_snapshots, spectral_norm, theta_deviation, \
-    truncate_model, with_theta_table
+    build_theta_table, deim_basis, model_from_snapshots, spectral_norm, \
+    theta_deviation, truncate_model
 from .errors import ConfigError, NumericalError
 from .kkt import FullSolution, assemble_kkt, solve_kkt
 # cut_candidates is not called here; perfbench/tracing.py wraps it by name
@@ -54,7 +54,7 @@ TIMING_REPEATS = 11
 # mean relative error of the ROM at stored training parameters that
 # ``verify`` accepts: the error level of acceptance criterion 5
 ROM_TRAINING_TOL = 2e-2
-MANIFEST_FORMAT = 4
+MANIFEST_FORMAT = 5
 VARS = ("y", "u", "p")
 
 
@@ -195,7 +195,7 @@ def training_sweep(params, ctx: AssemblyContext, W):
 # return the entries they add to it.
 
 def _snapshots_build(s):
-    """The training sweep, and the DEIM models of its operator snapshots."""
+    """The training sweep, its operator snapshots' DEIM models and theta."""
     cfg, ctx = s["cfg"], s["ctx"]
     params = sample_parameters(cfg.mu_min, cfg.mu_max, cfg.m_train, cfg.seed)
     snaps, opsnaps = training_sweep(params, ctx, s["W"])
@@ -204,8 +204,8 @@ def _snapshots_build(s):
         dbasis = deim_basis(opsnaps[comp])
         models[comp] = model_from_snapshots(dbasis, dbasis.m, opsnaps[comp],
                                             ctx)
-    return {"params": params, "snapshots": snaps,
-            "deim_models": with_theta_table(models, ctx)}
+    return {"params": params, "snapshots": snaps, "deim_models": models,
+            "theta_table": build_theta_table(list(models.values()), ctx)}
 
 
 def _snapshots_save(out: Path, s) -> None:
@@ -213,12 +213,12 @@ def _snapshots_save(out: Path, s) -> None:
     for var in VARS:
         save_matrix(out / f"snap_{var}.romb",
                     getattr(s["snapshots"], f"S_{var}"))
-    models = s["deim_models"]
-    save_matrix(out / "deim_theta_edges.romb", models["A"].table.edges)
-    for comp, model in models.items():
-        # (intervals * (degree + 1), m): one interval's series per block
-        save_matrix(out / f"deim_{comp}_theta.romb",
-                    model.table.coefs.reshape(-1, model.m))
+    table = s["theta_table"]
+    save_matrix(out / "deim_theta_edges.romb", table.edges)
+    # (intervals * (degree + 1), columns): one interval's series per block
+    save_matrix(out / "deim_theta.romb",
+                table.coefs.reshape(-1, table.coefs.shape[2]))
+    for comp, model in s["deim_models"].items():
         save_matrix(out / f"deim_{comp}_U.romb", model.U)
         save_matrix(out / f"deim_{comp}_proj.romb", model.projector)
         save_matrix(out / f"deim_{comp}_eigs.romb", model.eigenvalues)
@@ -232,22 +232,21 @@ def _snapshots_save(out: Path, s) -> None:
 def _snapshots_load(out: Path, s):
     params = load_matrix(out / "params_train.romb").ravel()
     edges = load_matrix(out / "deim_theta_edges.romb").ravel()
-    models = {}
-    for comp in COMPONENTS:
-        coefs = load_matrix(out / f"deim_{comp}_theta.romb")
-        models[comp] = DeimModel(
-            comp, load_matrix(out / f"deim_{comp}_U.romb"),
-            load_index_list(out / f"deim_{comp}_indices.txt"),
-            load_matrix(out / f"deim_{comp}_proj.romb"),
-            load_index_list(out / f"deim_{comp}_elements.txt"),
-            load_index_list(out / f"deim_{comp}_facets.txt"),
-            load_matrix(out / f"deim_{comp}_eigs.romb").ravel(),
-            ThetaTable(edges, coefs.reshape(edges.size - 1, -1,
-                                            coefs.shape[1])))
+    coefs = load_matrix(out / "deim_theta.romb")
+    models = {comp: DeimModel(
+        comp, load_matrix(out / f"deim_{comp}_U.romb"),
+        load_index_list(out / f"deim_{comp}_indices.txt"),
+        load_matrix(out / f"deim_{comp}_proj.romb"),
+        load_index_list(out / f"deim_{comp}_elements.txt"),
+        load_index_list(out / f"deim_{comp}_facets.txt"),
+        load_matrix(out / f"deim_{comp}_eigs.romb").ravel())
+        for comp in COMPONENTS}
     return {"params": params,
             "snapshots": SnapshotSet(params, *(
                 load_matrix(out / f"snap_{var}.romb") for var in VARS)),
-            "deim_models": models}
+            "deim_models": models,
+            "theta_table": ThetaTable(edges, coefs.reshape(
+                edges.size - 1, -1, coefs.shape[1]))}
 
 
 def _pod_build(s):
@@ -379,7 +378,8 @@ def _walk(cfg: RunConfig, ctx: AssemblyContext, W, out: Path,
     if "pod" in state:      # read snapshots, so the DEIM models are there
         state["basis"] = _aggregated(state["pod"], ctx, W)
         state["rom"] = precompute_reduced_terms(
-            state["basis"], state["deim_models"], ctx, cfg.alpha)
+            state["basis"], state["deim_models"], state["theta_table"], ctx,
+            cfg.alpha)
     get = state.get
     return OfflineBundle(cfg, ctx.mesh, ctx, W, get("params"),
                          get("snapshots"), get("pod"), get("basis"),
@@ -500,19 +500,25 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
         if (comp, m) not in models:
             models[comp, m] = truncate_model(stored[comp], m, ctx)
 
-    rom = bundle.rom
+    rom, table = bundle.rom, bundle.rom.table
     if modes is not None or deim_dims:
         basis = bundle.basis if modes is None \
             else _aggregated(bundle.pod, ctx, bundle.W, modes)
-        rom = precompute_reduced_terms(basis, own, ctx, cfg.alpha)
+        # the table columns of each component's first entries
+        start = np.cumsum([0] + [stored[c].m for c in COMPONENTS])
+        columns = np.concatenate([lo + np.arange(own[c].m)
+                                  for c, lo in zip(COMPONENTS, start)])
+        rom = precompute_reduced_terms(basis, own, table.columns(columns),
+                                       ctx, cfg.alpha)
     # error decay versus per-variable POD truncation, DEIM dims fixed;
     # variables with fewer stored modes than k use all they have
     sweep_roms = [precompute_reduced_terms(
-        _aggregated(bundle.pod, ctx, bundle.W, k), stored, ctx, cfg.alpha)
-        for k in MODES_SWEEP]
+        _aggregated(bundle.pod, ctx, bundle.W, k), stored, table, ctx,
+        cfg.alpha) for k in MODES_SWEEP]
 
     mus = sample_test_parameters(cfg)
     error_rows, deim_errs, residuals, pivot_ratios = [], [], [], []
+    deflated = 0
     sweep_errs = np.zeros((len(MODES_SWEEP), mus.size, 3))
     for i, mu in enumerate(mus.tolist()):
         ops = assemble_operators(ctx, mu, CENTER)
@@ -531,9 +537,11 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
         errs, _ = relative_error(full, sol, ops.M)
         error_rows.append((mu, *errs, *(deim_errs[-1][c, own[c].m]
                                         for c in COMPONENTS)))
+        deflated = max(deflated, sol.deflated_dims)
         for j, rom_k in enumerate(sweep_roms):
             sol_k = rom_solve_theta(rom_k, mu, theta.values())
             sweep_errs[j, i], _ = relative_error(full, sol_k, ops.M)
+            deflated = max(deflated, sol_k.deflated_dims)
         residuals.append(full.residual)
         pivot_ratios.append(sol.pivot_ratio)
 
@@ -555,6 +563,7 @@ def run_online(cfg: RunConfig, out_dir=None, modes: int | None = None,
         timing_rows = _timing_report(bundle, rom, mus[0])
         timing_rows.append(("full_residual_max", max(residuals)))
         timing_rows.append(("rom_pivot_ratio_min", min(pivot_ratios)))
+        timing_rows.append(("rom_deflated_dims_max", deflated))
         write_csv(out / "timings.csv", ["name", "value"], timing_rows)
 
     return {"test_params": mus, "errors": error_rows, "deim": deim_rows,

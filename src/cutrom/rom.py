@@ -2,10 +2,10 @@
 
 Offline, every interpolation mode of the stiffness and mass families is
 projected once onto the aggregated basis; online, a new parameter value
-only requires the interpolation coefficients (read from the DEIM models'
-theta table, by partial assembly on the reduced meshes next to a
-breakpoint), a weighted sum of the precomputed small matrices and one
-dense solve.  Nothing in the online path scales with the full-order
+only requires the interpolation coefficients (read from the theta table
+of the DEIM models' entries, by partial assembly on the reduced meshes
+next to a breakpoint), a weighted sum of the precomputed small matrices
+and one dense solve.  Nothing in the online path scales with the full-order
 dimension.
 """
 
@@ -22,8 +22,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .assembly import AssemblyContext
-from .deim import COMPONENTS, DeimModel, PartialAssembler, ThetaTable, \
-    with_theta_table
+from .deim import COMPONENTS, DeimModel, PartialAssembler, ThetaTable
 from .errors import NumericalError
 from .kkt import FullSolution
 from .pod import AggregatedBasis
@@ -87,18 +86,20 @@ class RomSolution:
     p: Optional[np.ndarray]
     timings: dict[str, float] = field(default_factory=dict)
     pivot_ratio: float = float("nan")   # min / max |diag(LU)|
+    deflated_dims: int = 0              # directions dropped by the solve
 
 
 def precompute_reduced_terms(basis: AggregatedBasis,
                              deim_models: dict[str, DeimModel],
-                             ctx: AssemblyContext, alpha: float) -> RomModel:
+                             table: ThetaTable, ctx: AssemblyContext,
+                             alpha: float) -> RomModel:
     """Project every interpolation term onto the aggregated basis.
 
     Terms are the columns of the oblique projector U (P^T U)^-1, so the
     online coefficients are the raw interpolated entries; this absorbs the
     m x m interpolation solve into the offline stage without changing the
-    assembled reduced system.  The models' theta tables are joined into
-    one; models without a table get one built here.
+    assembled reduced system.  ``table`` holds theta of the models'
+    entries, in ``COMPONENTS`` order.
     """
     Vyp = basis.V_yp
     Vu = basis.V_u
@@ -124,9 +125,6 @@ def precompute_reduced_terms(basis: AggregatedBasis,
     b_terms = deim_models["b"].projector.T @ Vyp
     c_terms = deim_models["c"].projector.T @ Vyp
 
-    if any(model.table is None for model in deim_models.values()):
-        deim_models = with_theta_table(deim_models, ctx)
-    table = ThetaTable.concatenate([deim_models[c].table for c in COMPONENTS])
     return RomModel(basis, alpha, A_terms, M_yp, M_u, M_uyp,
                     b_terms, c_terms, dict(deim_models), table, ctx)
 
@@ -163,6 +161,30 @@ def _dense_solve(K: np.ndarray, rhs: np.ndarray, mu: float):
     return sla.lu_solve((lu, piv), rhs), float(diag.min() / scale)
 
 
+def _reduced_solve(K: np.ndarray, rhs: np.ndarray, mu: float,
+                   model: RomModel, th_M: np.ndarray):
+    """``_dense_solve``; a singular system is solved again on the directions
+    where the reduced mass blocks do not vanish (the reduced form of the
+    truth solve's pinning of inactive DOFs), and the number of dropped
+    directions is returned too.  A direction whose lift vanishes on the
+    active mesh has zero mass.  The sum of m mass terms rounds by at most
+    m eps sum_j |theta_j| ||terms_j|| and the n x n eigensolve adds n eps
+    times its norm, so by Weyl's inequality an eigenvalue below (m + n)
+    eps sum_j |theta_j| ||terms_j||_F is zero to working precision."""
+    try:
+        return (*_dense_solve(K, rhs, mu), 0)
+    except NumericalError:
+        keep = []
+        for terms in (model.M_yp_terms, model.M_u_terms):
+            lam, Q = np.linalg.eigh(np.tensordot(th_M, terms, axes=1))
+            noise = (th_M.size + lam.size) * np.finfo(float).eps \
+                * (np.abs(th_M) @ np.linalg.norm(terms, axis=(1, 2)))
+            keep.append(Q[:, lam > noise])
+    T = sla.block_diag(keep[0], keep[1], keep[0])
+    x, pivot_ratio = _dense_solve(T.T @ K @ T, T.T @ rhs, mu)
+    return T @ x, pivot_ratio, K.shape[0] - T.shape[1]
+
+
 def rom_solve(model: RomModel, mu: float, lift: bool = True) -> RomSolution:
     """Online reduced solve: ``RomModel.theta``, then ``rom_solve_theta``;
     wall-clock per phase is recorded."""
@@ -191,7 +213,7 @@ def rom_solve_theta(model: RomModel, mu: float, thetas,
     K, rhs = assemble_reduced_system(A_r, M_yp_r, M_u_r, M_uyp_r,
                                      b_r, c_r, model.alpha)
     t2 = time.perf_counter()
-    x, pivot_ratio = _dense_solve(K, rhs, mu)
+    x, pivot_ratio, deflated = _reduced_solve(K, rhs, mu, model, th_M)
     t3 = time.perf_counter()
     y_N, u_N, p_N = model.basis.split(x)
     y = u = p = None
@@ -200,7 +222,8 @@ def rom_solve_theta(model: RomModel, mu: float, thetas,
     t4 = time.perf_counter()
     timings = {"form": t2 - t1, "solve": t3 - t2, "lift": t4 - t3,
                "total_excl_lift": t3 - t1}
-    return RomSolution(mu, y_N, u_N, p_N, y, u, p, timings, pivot_ratio)
+    return RomSolution(mu, y_N, u_N, p_N, y, u, p, timings, pivot_ratio,
+                       deflated)
 
 
 def relative_error(full: FullSolution, rom: RomSolution,

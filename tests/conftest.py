@@ -42,7 +42,7 @@ def paper_rom():
     mu = 0.4034487 puts a side of the square almost on a mesh line."""
     from cutrom import aggregate_basis, deim_basis, pod_basis, \
         precompute_reduced_terms, sample_parameters, training_sweep
-    from cutrom.deim import model_from_snapshots
+    from cutrom.deim import build_theta_table, model_from_snapshots
 
     cfg = RunConfig(h_target=0.09, seed=5)
     mesh, ft, case, ctx, W = build_problem(cfg)
@@ -57,7 +57,9 @@ def paper_rom():
     for comp in "AMbc":
         db = deim_basis(opsnaps[comp])
         models[comp] = model_from_snapshots(db, db.m, opsnaps[comp], ctx)
-    return ctx, precompute_reduced_terms(basis, models, ctx, case.alpha)
+    table = build_theta_table(list(models.values()), ctx)
+    return ctx, precompute_reduced_terms(basis, models, table, ctx,
+                                         case.alpha)
 
 
 @pytest.fixture()

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from cutrom import AggregatedBasis, AssemblyContext, ParametricOperators, \
     assemble_operators
 from cutrom.deim import PartialAssembler, spectral_norm, truncate_model
-from cutrom.errors import PatternOverflowError
+from cutrom.errors import NumericalError, PatternOverflowError
 from cutrom.levelset import CUT, INSIDE, OUTSIDE, SNAP_REL, LevelSetSquare, \
     SubsetGeometry, _interpolant_gradients, _midpoint_rule, _segment_rule, \
     snap_values
@@ -428,6 +428,95 @@ def sliced_condensed(ops: ParametricOperators, alpha: float) -> sp.csc_matrix:
                 np.concatenate([M_aa.col, A_aa.col]))), shape=M_aa.shape)
 
 
+def vertex_to_elements(mesh) -> tuple[np.ndarray, np.ndarray]:
+    """CSR-style adjacency: elements incident to each vertex.
+
+    Returns (indptr, elems) so that elems[indptr[v]:indptr[v+1]] lists the
+    elements containing vertex v, in ascending order.
+    """
+    flat = mesh.elements.ravel()
+    order = np.argsort(flat, kind="stable")
+    elems = order // 3
+    counts = np.bincount(flat, minlength=mesh.dof_count)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return indptr.astype(np.int64), elems.astype(np.int64)
+
+
+def pair_reduced_mesh(pairs: np.ndarray, ctx: AssemblyContext,
+                      component: str):
+    """``build_reduced_mesh`` from the DOF pairs of the selected entries
+    (DOFs for b and c), one pair at a time through the vertex-to-element
+    adjacency.
+
+    An element joins when its DOF set contains both indices of a pair.  A
+    stiffness pair coupled only through a gradient-jump facet pulls in that
+    facet with both its neighbors, and every potential ghost facet of an
+    included element (one with a side in ``ctx.cut_candidate``) is
+    recorded with its across-facet neighbor.
+    """
+    mesh, face_table = ctx.mesh, ctx.face_table
+    indptr, v2e = vertex_to_elements(mesh)
+
+    def elems_of(v: int) -> np.ndarray:
+        return v2e[indptr[v]:indptr[v + 1]]
+
+    elements: set[int] = set()
+    facets: set[int] = set()
+    pairs = np.atleast_1d(np.asarray(pairs, dtype=np.int64))
+
+    if component in ("b", "c") or pairs.ndim == 1:
+        for i in pairs.ravel():
+            covering = elems_of(int(i))
+            if covering.size == 0:
+                raise NumericalError(
+                    f"selected DOF {i} is covered by no element")
+            elements.update(int(e) for e in covering)
+    else:
+        interior = face_table.face_right >= 0
+        for i, j in pairs:
+            common = np.intersect1d(elems_of(int(i)), elems_of(int(j)))
+            if common.size:
+                elements.update(int(e) for e in common)
+                continue
+            if component != "A":
+                raise NumericalError(
+                    f"pair ({i}, {j}) shares no element (pattern bug)")
+            near = np.unique(np.concatenate([elems_of(int(i)),
+                                             elems_of(int(j))]))
+            cand = np.unique(face_table.element_to_faces[near].ravel())
+            cand = cand[interior[cand]]
+            hit = cand[np.any(ctx.face_dofs6[cand] == i, axis=1)
+                       & np.any(ctx.face_dofs6[cand] == j, axis=1)]
+            if hit.size == 0:
+                raise NumericalError(
+                    f"pair ({i}, {j}) is covered by no element or facet")
+            facets.update(int(f) for f in hit)
+            elements.update(int(e) for e in face_table.face_left[hit])
+            elements.update(int(e) for e in face_table.face_right[hit])
+
+    if component == "A":
+        for e in sorted(elements):
+            for f in face_table.element_to_faces[e]:
+                left, right = face_table.face_left[f], face_table.face_right[f]
+                if right < 0:
+                    continue
+                if ctx.cut_candidate[left] or ctx.cut_candidate[right]:
+                    facets.add(int(f))
+                    elements.add(int(left))
+                    elements.add(int(right))
+
+    return (np.array(sorted(elements), dtype=np.int64),
+            np.array(sorted(facets), dtype=np.int64))
+
+
+def offset_pairs(ctx: AssemblyContext, component: str, offsets):
+    """DOF pairs of pattern offsets of A or M; the DOFs for b and c."""
+    pattern = ctx.patterns[component]
+    if pattern is None:
+        return np.asarray(offsets)
+    return np.column_stack([pattern.rows[offsets], pattern.cols[offsets]])
+
+
 def projector_apply(asm: PartialAssembler, theta) -> np.ndarray:
     """Full pattern values (or DOF vector) interpolated from the theta of a
     one-model assembler."""
@@ -437,20 +526,25 @@ def projector_apply(asm: PartialAssembler, theta) -> np.ndarray:
 
 def report_deim_errors(bundle, mus, deim_dims=None):
     """The DEIM errors of ``run_online`` through each truncated model's own
-    theta (its table, or its ``PartialAssembler`` next to a breakpoint)
-    and ``interpolate``, per component and dimension: the ``deim_err_*``
-    columns (a list per component) and the ``deim_errors.csv`` rows.  The
-    row of the ROM's own dimension is the mean of its column."""
-    from cutrom.pipeline import DEIM_SWEEP
+    theta (its columns of the bundle's table, or its ``PartialAssembler``
+    next to a breakpoint) and ``interpolate``, per component and
+    dimension: the ``deim_err_*`` columns (a list per component) and the
+    ``deim_errors.csv`` rows.  The row of the ROM's own dimension is the
+    mean of its column."""
+    from cutrom.pipeline import COMPONENTS, DEIM_SWEEP
 
     ctx, dims = bundle.ctx, deim_dims or {}
     ops = [assemble_operators(ctx, float(mu)) for mu in mus]
+    start = dict(zip(COMPONENTS, np.cumsum(
+        [0] + [bundle.deim_models[c].m for c in COMPONENTS])))
 
     def errors(model):
+        table = bundle.rom.table.columns(start[model.component]
+                                         + np.arange(model.m))
         errs = []
         for mu, o in zip(mus, ops):
             exact = {"A": o.A, "M": o.M, "b": o.b, "c": o.c}[model.component]
-            theta = model.table(float(mu))
+            theta = table(float(mu))
             if theta is None:
                 theta = PartialAssembler(model, ctx).theta(float(mu))
             diff = model.interpolate(theta, ctx) - exact

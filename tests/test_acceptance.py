@@ -188,7 +188,8 @@ def test_criterion_5_rom_error_decay(bench):
                                   bundle.ctx.ever_active,
                                   bundle.mesh.dof_count)
         rom_k = precompute_reduced_terms(basis_k, bundle.deim_models,
-                                         bundle.ctx, cfg.alpha)
+                                         bundle.rom.table, bundle.ctx,
+                                         cfg.alpha)
         errs = np.zeros((len(bench["mus"]), 3))
         for i, mu in enumerate(bench["mus"]):
             sol = rom_solve(rom_k, float(mu))

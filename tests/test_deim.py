@@ -5,9 +5,9 @@ from cutrom import assemble_operators, box_mass_matrix, build_reduced_mesh, \
     deim_basis, deim_select, spectral_norm, training_sweep
 from cutrom.deim import OperatorSnapshots, PartialAssembler, \
     model_from_snapshots, truncate_model
-from cutrom.errors import NumericalError
-from cutrom.mesh import vertex_to_elements
-from oracles import projector_apply
+from cutrom.errors import NumericalError, PatternOverflowError
+from oracles import offset_pairs, offsets_for, pair_reduced_mesh, \
+    projector_apply, vertex_to_elements
 
 
 def _vector_snaps(values):
@@ -128,34 +128,54 @@ def test_reduced_mesh_diagonal_entry(coarse_problem):
     ctx = coarse_problem["ctx"]
     indptr, v2e = vertex_to_elements(mesh)
     v = mesh.dof_count // 2 + 3
-    elements, facets = build_reduced_mesh(np.array([[v, v]]), ctx, "M")
+    offset = offsets_for(ctx.pattern_M, [v], [v])
+    elements, facets = build_reduced_mesh(offset, ctx, "M")
     assert np.array_equal(elements, v2e[indptr[v]:indptr[v + 1]])
     assert facets.size == 0
 
 
 def test_reduced_mesh_ghost_only_pair(coarse_problem):
-    # apex DOFs across an interior face share no element; the covering
-    # facet and both neighbors must be pulled in
+    # apex DOFs across a pattern facet share no element; the facet's ghost
+    # block holds their entry, and the facet and both neighbors must be
+    # pulled in.  The mass pattern has no such entry
     mesh = coarse_problem["mesh"]
     ctx = coarse_problem["ctx"]
     ft = coarse_problem["face_table"]
-    f = int(np.flatnonzero(ft.face_right >= 0)[10])
+    f = int(ctx.pattern_facets[10])
     left, right = ft.face_left[f], ft.face_right[f]
     shared = set(ft.faces[f])
     i = (set(mesh.elements[left]) - shared).pop()
     j = (set(mesh.elements[right]) - shared).pop()
-    elements, facets = build_reduced_mesh(np.array([[i, j]]), ctx, "A")
+    offset = offsets_for(ctx.pattern_A, [i], [j])
+    elements, facets = build_reduced_mesh(offset, ctx, "A")
     assert f in set(facets.tolist())
     assert {int(left), int(right)} <= set(elements.tolist())
-    with pytest.raises(NumericalError):
-        build_reduced_mesh(np.array([[i, j]]), ctx, "M")
+    with pytest.raises(PatternOverflowError):
+        offsets_for(ctx.pattern_M, [i], [j])
 
 
 def test_reduced_mesh_uncoverable_pair(coarse_problem):
-    mesh = coarse_problem["mesh"]
+    # the offset nnz (the DOF count for b and c) is no entry's, and no
+    # element or facet holds it
     ctx = coarse_problem["ctx"]
-    with pytest.raises(NumericalError):
-        build_reduced_mesh(np.array([[0, mesh.dof_count - 1]]), ctx, "A")
+    for comp, size in (("A", ctx.pattern_A.nnz), ("M", ctx.pattern_M.nnz),
+                       ("b", ctx.mesh.dof_count)):
+        with pytest.raises(NumericalError, match="held by no element"):
+            build_reduced_mesh(np.array([0, size]), ctx, comp)
+
+
+def test_reduced_mesh_matches_pair_oracle(coarse_problem):
+    # the offset lookups give the pair-by-pair builder's mesh for every
+    # kept entry and every ever-active DOF, one at a time
+    ctx = coarse_problem["ctx"]
+    for comp in "AMbc":
+        for offset in ctx.kept[comp]:
+            got = build_reduced_mesh(np.array([offset]), ctx, comp)
+            ref = pair_reduced_mesh(offset_pairs(ctx, comp, [offset]), ctx,
+                                    comp)
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype and np.array_equal(a, b), \
+                    (comp, offset)
 
 
 @pytest.fixture(scope="module")
@@ -246,22 +266,34 @@ def test_truncated_theta_is_prefix_of_fused_theta(paper_rom):
                     (comp, m, mu)
 
 
-def test_truncated_table_is_prefix_of_fused_table(paper_rom):
-    # a truncated model reads the first columns of its component's table,
-    # and they evaluate to the same bits as those columns of the fused one
-    ctx, rom = paper_rom
-    edges = rom.table.edges
+def test_truncated_table_is_prefix_of_fused_table(tmp_path, monkeypatch):
+    # a --deim-dims ROM reads the stored table's columns of each
+    # component's first entries: the same bits as those entries of the
+    # stored theta, and its truncated models' own theta
+    from cutrom import RunConfig, pipeline, run_offline, run_online
+    from cutrom.deim import theta_deviation
+
+    cfg = RunConfig(h_target=0.3, m_train=5, m_test=2, seed=5, pod_store=5,
+                    out_dir=str(tmp_path))
+    stored = run_offline(cfg).rom
+    built = []
+    precompute = pipeline.precompute_reduced_terms
+    monkeypatch.setattr(pipeline, "precompute_reduced_terms",
+                        lambda *a: built.append(precompute(*a)) or built[-1])
+    dims = {c: max(1, model.m // 2) for c, model in stored.deim.items()}
+    dims["b"] = stored.deim["b"].m
+    run_online(cfg, deim_dims=dims)
+    rom = built[1]      # after the stored ROM of the bundle's load
+    assert {c: model.m for c, model in rom.deim.items()} == dims
+    edges = stored.table.edges
     mus = (*np.random.default_rng(10).uniform(0.4, 0.5, 3),
-           edges[1] + 1e-6)
-    fused = [dict(zip("AMbc", rom.theta(float(mu)))) for mu in mus]
-    for comp, model in rom.deim.items():
-        for m in (1, model.m // 2, model.m):
-            sub = truncate_model(model, m, ctx)
-            assert np.array_equal(sub.table.coefs,
-                                  model.table.coefs[:, :, :m])
-            for mu, parts in zip(mus, fused):
-                assert np.array_equal(sub.table(float(mu)),
-                                      parts[comp][:m]), (comp, m, mu)
+           edges[-2] + 1e-6)
+    for mu in map(float, mus):
+        parts = stored.theta(mu)
+        assert np.array_equal(rom.table(mu), np.concatenate(
+            [part[:dims[c]] for c, part in zip("AMbc", parts)])), mu
+        assert theta_deviation(rom.table(mu), rom.assembler.theta(mu),
+                               rom.assembler.offsets) <= 1e-12, mu
 
 
 def test_theta_outside_range_is_partial_assembly(paper_rom):

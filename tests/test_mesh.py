@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from cutrom import build_background_mesh, build_face_table
-from cutrom.mesh import element_areas, p1_gradients, vertex_to_elements
+from cutrom.mesh import element_areas, p1_gradients
+from oracles import vertex_to_elements
 
 
 def test_unit_box_single_cell():

@@ -44,9 +44,9 @@ def test_tiny_offline_completes_quickly(tiny_bundle):
                 "snap_p.romb", "manifest.json", "offline_summary.csv"]
     expected += [f"pod_basis_{v}.romb" for v in "yup"]
     expected += [f"deim_{c}_{part}" for c in "AMbc"
-                 for part in ("U.romb", "proj.romb", "theta.romb",
-                              "indices.txt", "elements.txt", "facets.txt")]
-    expected.append("deim_theta_edges.romb")
+                 for part in ("U.romb", "proj.romb", "indices.txt",
+                              "elements.txt", "facets.txt")]
+    expected += ["deim_theta.romb", "deim_theta_edges.romb"]
     for name in expected:
         assert (out / name).is_file(), name
     # the aggregated basis and the reduced terms are derived on load
@@ -125,8 +125,7 @@ def test_bundle_without_theta_table_exits_2(tiny_bundle, tmp_path, capsys):
     out = tmp_path / "old"
     shutil.copytree(tiny_bundle["out"], out)
     (out / "deim_theta_edges.romb").unlink()
-    for comp in "AMbc":
-        (out / f"deim_{comp}_theta.romb").unlink()
+    (out / "deim_theta.romb").unlink()
     cfg_path = _write_cfg(tmp_path, **TINY, out_dir=str(out))
     assert cli_main(["online", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
@@ -542,34 +541,46 @@ def test_deim_rerun_against_other_seed_writes_nothing(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_format_2_manifest_is_rejected(tmp_path):
-    # format 2 stored every row of the snapshots and bases; format 3 cut
-    # the DEIM models below the rank of the operator snapshots
+def test_old_manifest_formats_are_rejected(tmp_path, capsys):
+    # format 1 had no stage records; format 2 stored every row of the
+    # snapshots and bases; format 3 cut the DEIM models below the rank of
+    # the operator snapshots; format 4 stored a theta table per component
     import json
 
     out = tmp_path / "b"
     assert _cli(tmp_path, "offline", out) == 0
     path = out / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    for fmt in (2, 3):
-        path.write_text(json.dumps({**manifest, "format": fmt}),
-                        encoding="utf-8")
+    for fmt, text in ((1, '{"format": 1}\n'),
+                      *((fmt, json.dumps({**manifest, "format": fmt}))
+                        for fmt in (2, 3, 4))):
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
         assert _cli(tmp_path, "online", out) == 2
+        assert f"outdated format {fmt}" in capsys.readouterr().err
         assert _cli(tmp_path, "verify", out) == 2
         assert _cli(tmp_path, "offline", out, stages="pod") == 2
     assert _cli(tmp_path, "offline", out) == 0
     assert _cli(tmp_path, "online", out) == 0
 
 
-def test_format_1_manifest_is_rejected(tmp_path):
+@pytest.mark.parametrize("seed", [2304, 2337, 2401])
+def test_reduced_solve_drops_directions_off_the_active_mesh(tmp_path, seed):
+    # at these seeds the modes_sweep ROMs with every stored POD mode have
+    # state/adjoint directions whose lift vanishes on the active mesh of a
+    # test parameter, and their reduced system is singular; the solve
+    # drops those directions, as the truth solve pins inactive DOFs
     out = tmp_path / "b"
-    assert _cli(tmp_path, "offline", out) == 0
-    (out / "manifest.json").write_text('{"format": 1}\n', encoding="utf-8")
-    assert _cli(tmp_path, "online", out) == 2
-    assert _cli(tmp_path, "verify", out) == 2
-    assert _cli(tmp_path, "offline", out, stages="pod") == 2
-    assert _cli(tmp_path, "offline", out) == 0
-    assert _cli(tmp_path, "online", out) == 0
+    cfg_path = _write_cfg(tmp_path, h_target=0.3, m_train=8, m_test=2,
+                          seed=seed, out_dir=str(out))
+    for command in ("offline", "online", "verify"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 0, command
+    _, rows = read_csv(out / "timings.csv")
+    assert int(dict(rows)["rom_deflated_dims_max"]) > 0
+    # the rows with every stored mode are no worse than the k=5 row
+    _, rows = read_csv(out / "modes_sweep.csv")
+    errs = {int(k): [float(e) for e in row] for k, _, *row in rows}
+    assert all(a <= b for a, b in zip(errs[25], errs[5])), errs
 
 
 def test_benchmark_trace_sites_exist():

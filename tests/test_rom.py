@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from cutrom import aggregate_basis, assemble_kkt, assemble_operators, \
     pod_basis, precompute_reduced_terms, relative_error, rom_solve, \
     sample_parameters, solve_kkt
-from cutrom.deim import deim_basis, model_from_snapshots
+from cutrom.deim import build_theta_table, deim_basis, model_from_snapshots
 from cutrom.errors import NumericalError
 from cutrom.pipeline import training_sweep
 from cutrom.pod import AggregatedBasis
@@ -31,7 +31,10 @@ def rom_setup(coarse_problem):
     for comp in "AMbc":
         db = deim_basis(opsnaps[comp])
         models[comp] = model_from_snapshots(db, db.m, opsnaps[comp], ctx)
-    rom = precompute_reduced_terms(basis, models, ctx, ctx.case.alpha)
+    rom = precompute_reduced_terms(basis, models,
+                                   build_theta_table(list(models.values()),
+                                                     ctx),
+                                   ctx, ctx.case.alpha)
     return {"ctx": ctx, "basis": basis, "models": models, "rom": rom,
             "params": params, "pod": pod, "snaps": snaps, "W": W}
 
@@ -96,7 +99,8 @@ def test_identity_basis_terms_equal_projector_columns(rom_setup):
     dofs = ctx.ever_active
     eye = np.eye(dofs.size)
     ident = AggregatedBasis(eye, eye, dofs, ctx.mesh.dof_count)
-    rom = precompute_reduced_terms(ident, models, ctx, ctx.case.alpha)
+    rom = precompute_reduced_terms(ident, models, rom_setup["rom"].table,
+                                   ctx, ctx.case.alpha)
     model = models["A"]
     for j in (0, model.m - 1):
         full = ctx.pattern_A.csr_with_values(
@@ -194,7 +198,9 @@ def test_online_cost_independent_of_mesh_size():
             db = deim_basis(opsnaps[comp])
             models[comp] = model_from_snapshots(db, min(5, db.m),
                                                 opsnaps[comp], ctx)
-        roms[h] = precompute_reduced_terms(basis, models, ctx, case.alpha)
+        roms[h] = precompute_reduced_terms(
+            basis, models, build_theta_table(list(models.values()), ctx),
+            ctx, case.alpha)
     # both sizes timed interleaved, so that load changes hit them alike
     samples = {h: [] for h in roms}
     for rom in roms.values():
@@ -306,14 +312,12 @@ def test_theta_band_around_interval_edges(paper_rom):
             assert dev <= 1e-12, (mu, dev)
 
 
-def test_rom_builds_assemblers_on_first_read(paper_rom, monkeypatch):
-    # a ROM over models that carry their table builds no table and no
-    # partial assembler until one is read
-    import cutrom.rom
-
+def test_rom_builds_assemblers_on_first_read(paper_rom):
+    # a ROM over a given table builds no partial assembler until one is
+    # read
     ctx, rom = paper_rom
-    monkeypatch.setattr(cutrom.rom, "with_theta_table", None)
-    fresh = precompute_reduced_terms(rom.basis, rom.deim, ctx, rom.alpha)
+    fresh = precompute_reduced_terms(rom.basis, rom.deim, rom.table, ctx,
+                                     rom.alpha)
     rom_solve(fresh, 0.447)
     assert "assembler" not in vars(fresh) and "assemblers" not in vars(fresh)
     assert set(fresh.assemblers) == set("AMbc")
