@@ -541,25 +541,38 @@ def test_deim_rerun_against_other_seed_writes_nothing(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_old_manifest_formats_are_rejected(tmp_path, capsys):
-    # format 1 had no stage records; format 2 stored every row of the
-    # snapshots and bases; format 3 cut the DEIM models below the rank of
-    # the operator snapshots; format 4 stored a theta table per component
+def test_format_2_manifest_is_rejected(tmp_path, capsys):
+    # format 2 stored every row of the snapshots and bases; format 3 cut
+    # the DEIM models below the rank of the operator snapshots; format 4
+    # stored a theta table per component
     import json
 
     out = tmp_path / "b"
     assert _cli(tmp_path, "offline", out) == 0
     path = out / "manifest.json"
     manifest = json.loads(path.read_text(encoding="utf-8"))
-    for fmt, text in ((1, '{"format": 1}\n'),
-                      *((fmt, json.dumps({**manifest, "format": fmt}))
-                        for fmt in (2, 3, 4))):
-        path.write_text(text, encoding="utf-8")
+    for fmt in (2, 3, 4):
+        path.write_text(json.dumps({**manifest, "format": fmt}),
+                        encoding="utf-8")
         capsys.readouterr()
         assert _cli(tmp_path, "online", out) == 2
         assert f"outdated format {fmt}" in capsys.readouterr().err
         assert _cli(tmp_path, "verify", out) == 2
         assert _cli(tmp_path, "offline", out, stages="pod") == 2
+    assert _cli(tmp_path, "offline", out) == 0
+    assert _cli(tmp_path, "online", out) == 0
+
+
+def test_format_1_manifest_is_rejected(tmp_path, capsys):
+    # format 1 had no stage records
+    out = tmp_path / "b"
+    assert _cli(tmp_path, "offline", out) == 0
+    (out / "manifest.json").write_text('{"format": 1}\n', encoding="utf-8")
+    capsys.readouterr()
+    assert _cli(tmp_path, "online", out) == 2
+    assert "outdated format 1" in capsys.readouterr().err
+    assert _cli(tmp_path, "verify", out) == 2
+    assert _cli(tmp_path, "offline", out, stages="pod") == 2
     assert _cli(tmp_path, "offline", out) == 0
     assert _cli(tmp_path, "online", out) == 0
 
