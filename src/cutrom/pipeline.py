@@ -279,15 +279,20 @@ class _Stage(NamedTuple):
     build: Callable
     save: Callable
     load: Callable
+    replaces: tuple[str, ...]  # files of earlier formats its save replaces
 
 
 STAGE_TABLE = dict(zip(STAGES, (
     _Stage((), ("box_min_x", "box_min_y", "box_max_x", "box_max_y",
                 "h_target", "mu_min", "mu_max", "alpha", "gamma_d",
                 "gamma_1", "case", "m_train", "seed"),
-           _snapshots_build, _snapshots_save, _snapshots_load),
+           _snapshots_build, _snapshots_save, _snapshots_load,
+           # format 4: one theta table per component
+           ("deim_[AMbc]_theta.romb",)),
     _Stage(("snapshots",), ("eps_pod", "pod_store"),
-           _pod_build, _pod_save, _pod_load),
+           _pod_build, _pod_save, _pod_load,
+           # the aggregated basis and the removed 'rom' stage's terms
+           ("basis_v*.romb", "rom_*_terms.romb")),
 )))
 
 
@@ -368,6 +373,9 @@ def _walk(cfg: RunConfig, ctx: AssemblyContext, W, out: Path,
             state.update(stage.build(state))
             timings.append((name, time.perf_counter() - t0))
             stage.save(out, state)
+            for pattern in stage.replaces:
+                for path in out.glob(pattern):
+                    path.unlink()
         elif name in inputs:
             try:
                 state.update(stage.load(out, state))

@@ -4,15 +4,15 @@ Offline, every interpolation mode of the stiffness and mass families is
 projected once onto the aggregated basis; online, a new parameter value
 only requires the interpolation coefficients (read from the theta table
 of the DEIM models' entries, by partial assembly on the reduced meshes
-next to a breakpoint), a weighted sum of the precomputed small matrices
-and one dense solve.  Nothing in the online path scales with the full-order
-dimension.
+next to a breakpoint), one matrix-vector product of the coefficients with
+each family's flattened terms, a finiteness check, and one dense solve by
+LAPACK getrf and getrs with a pivot check between them.  Nothing in the
+online path scales with the full-order dimension.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .assembly import AssemblyContext
 from .deim import COMPONENTS, DeimModel, PartialAssembler, ThetaTable
@@ -62,8 +63,9 @@ class RomModel:
         return PartialAssembler([self.deim[c] for c in COMPONENTS], self.ctx)
 
     @cached_property
-    def _splits(self) -> np.ndarray:
-        return np.cumsum([self.deim[c].m for c in COMPONENTS[:-1]])
+    def _slices(self) -> list[slice]:
+        ends = np.cumsum([self.deim[c].m for c in COMPONENTS]).tolist()
+        return [slice(a, b) for a, b in zip([0] + ends[:-1], ends)]
 
     def theta(self, mu: float) -> list[np.ndarray]:
         """Selected entries of A, M, b and c at mu, one array per component:
@@ -72,7 +74,7 @@ class RomModel:
         theta = self.table(mu)
         if theta is None:
             theta = self.assembler.theta(mu)
-        return np.split(theta, self._splits)
+        return [theta[s] for s in self._slices]
 
 
 @dataclass
@@ -129,6 +131,14 @@ def precompute_reduced_terms(basis: AggregatedBasis,
                     b_terms, c_terms, dict(deim_models), table, ctx)
 
 
+def _combine(theta: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """sum_j theta_j terms[j] as one GEMV over the flattened terms, the
+    product ``np.tensordot(theta, terms, axes=1)`` runs without its
+    wrapper."""
+    return (theta @ terms.reshape(terms.shape[0], -1)).reshape(
+        terms.shape[1:])
+
+
 def assemble_reduced_system(A_r, M_yp_r, M_u_r, M_uyp_r, b_r, c_r,
                             alpha: float):
     """Dense reduced saddle-point system from its component blocks."""
@@ -147,18 +157,16 @@ def assemble_reduced_system(A_r, M_yp_r, M_u_r, M_uyp_r, b_r, c_r,
 
 
 def _dense_solve(K: np.ndarray, rhs: np.ndarray, mu: float):
-    """Solution and pivot ratio min / max |diag(LU)| of the reduced system."""
-    with warnings.catch_warnings():
-        # the pivot check below reports singularity with more context
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(K)
-    diag = np.abs(np.diag(lu))
-    scale = diag.max() if diag.size else 0.0
-    if scale == 0.0 or diag.min() <= PIVOT_TOL * scale:
+    """Solution and pivot ratio min / max |diag(LU)| of the reduced system:
+    LAPACK getrf, the pivot check, then getrs."""
+    lu, piv, _ = dgetrf(K)
+    diag = np.abs(lu.diagonal())
+    smallest, scale = diag.min(), diag.max()
+    if smallest <= PIVOT_TOL * scale:
         raise NumericalError(
             f"singular reduced system at mu={mu}: smallest pivot "
-            f"{diag.min():.3e} at position {int(np.argmin(diag))}")
-    return sla.lu_solve((lu, piv), rhs), float(diag.min() / scale)
+            f"{smallest:.3e} at position {int(np.argmin(diag))}")
+    return dgetrs(lu, piv, rhs)[0], float(smallest / scale)
 
 
 def _reduced_solve(K: np.ndarray, rhs: np.ndarray, mu: float,
@@ -176,7 +184,7 @@ def _reduced_solve(K: np.ndarray, rhs: np.ndarray, mu: float,
     except NumericalError:
         keep = []
         for terms in (model.M_yp_terms, model.M_u_terms):
-            lam, Q = np.linalg.eigh(np.tensordot(th_M, terms, axes=1))
+            lam, Q = np.linalg.eigh(_combine(th_M, terms))
             noise = (th_M.size + lam.size) * np.finfo(float).eps \
                 * (np.abs(th_M) @ np.linalg.norm(terms, axis=(1, 2)))
             keep.append(Q[:, lam > noise])
@@ -204,14 +212,13 @@ def rom_solve_theta(model: RomModel, mu: float, thetas,
     no ``theta`` phase."""
     t1 = time.perf_counter()
     th_A, th_M, th_b, th_c = thetas
-    A_r = np.tensordot(th_A, model.A_terms, axes=1)
-    M_yp_r = np.tensordot(th_M, model.M_yp_terms, axes=1)
-    M_u_r = np.tensordot(th_M, model.M_u_terms, axes=1)
-    M_uyp_r = np.tensordot(th_M, model.M_uyp_terms, axes=1)
-    b_r = th_b @ model.b_terms
-    c_r = th_c @ model.c_terms
-    K, rhs = assemble_reduced_system(A_r, M_yp_r, M_u_r, M_uyp_r,
-                                     b_r, c_r, model.alpha)
+    K, rhs = assemble_reduced_system(
+        _combine(th_A, model.A_terms), _combine(th_M, model.M_yp_terms),
+        _combine(th_M, model.M_u_terms), _combine(th_M, model.M_uyp_terms),
+        th_b @ model.b_terms, th_c @ model.c_terms, model.alpha)
+    if not (np.isfinite(K).all() and np.isfinite(rhs).all()):
+        # a non-finite theta_j reaches every entry of its family's blocks
+        raise NumericalError(f"non-finite reduced system at mu={mu}")
     t2 = time.perf_counter()
     x, pivot_ratio, deflated = _reduced_solve(K, rhs, mu, model, th_M)
     t3 = time.perf_counter()

@@ -566,3 +566,53 @@ def report_deim_errors(bundle, mus, deim_dims=None):
                     else errors(truncate_model(model, m, ctx))
                 rows.append((comp, m, float(np.mean(errs))))
     return columns, rows
+
+
+def reference_rom_solve(model, mu: float):
+    """``rom_solve`` through ``np.split``, ``np.tensordot`` and
+    ``scipy.linalg.lu_factor``/``lu_solve``, with the same pivot check and
+    deflated retry: the reduced coefficients, the lifted fields, the pivot
+    ratio and the number of dropped directions."""
+    import warnings
+
+    import scipy.linalg as sla
+
+    from cutrom.rom import PIVOT_TOL, assemble_reduced_system
+
+    theta = model.table(mu)
+    if theta is None:
+        theta = model.assembler.theta(mu)
+    th_A, th_M, th_b, th_c = np.split(
+        theta, np.cumsum([model.deim[c].m for c in "AMb"]))
+    K, rhs = assemble_reduced_system(
+        np.tensordot(th_A, model.A_terms, axes=1),
+        np.tensordot(th_M, model.M_yp_terms, axes=1),
+        np.tensordot(th_M, model.M_u_terms, axes=1),
+        np.tensordot(th_M, model.M_uyp_terms, axes=1),
+        th_b @ model.b_terms, th_c @ model.c_terms, model.alpha)
+
+    def dense_solve(K, rhs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu, piv = sla.lu_factor(K)
+        diag = np.abs(np.diag(lu))
+        scale = diag.max()
+        if scale == 0.0 or diag.min() <= PIVOT_TOL * scale:
+            raise NumericalError(f"singular reduced system at mu={mu}")
+        return sla.lu_solve((lu, piv), rhs), float(diag.min() / scale)
+
+    try:
+        x, ratio = dense_solve(K, rhs)
+        dropped = 0
+    except NumericalError:
+        keep = []
+        for terms in (model.M_yp_terms, model.M_u_terms):
+            lam, Q = np.linalg.eigh(np.tensordot(th_M, terms, axes=1))
+            noise = (th_M.size + lam.size) * np.finfo(float).eps \
+                * (np.abs(th_M) @ np.linalg.norm(terms, axis=(1, 2)))
+            keep.append(Q[:, lam > noise])
+        T = sla.block_diag(keep[0], keep[1], keep[0])
+        x, ratio = dense_solve(T.T @ K @ T, T.T @ rhs)
+        x, dropped = T @ x, K.shape[0] - T.shape[1]
+    y_N, u_N, p_N = model.basis.split(x)
+    return (y_N, u_N, p_N, *model.basis.lift(y_N, u_N, p_N), ratio, dropped)

@@ -650,6 +650,27 @@ def test_rerun_drops_records_of_removed_stages(tmp_path):
     assert set(stages) == {"snapshots", "pod"}
 
 
+def test_rebuild_in_place_deletes_files_of_earlier_formats(tmp_path):
+    # a format-4 directory held one theta table per component; before
+    # format 2 the pod stage stored the aggregated basis and a 'rom' stage
+    # the reduced terms.  Rebuilding the stage that replaced them deletes
+    # them, and nothing else.
+    out = tmp_path / "b"
+    assert _cli(tmp_path, "offline", out) == 0
+    fresh = {p.name for p in out.iterdir()}
+    theta = [f"deim_{c}_theta.romb" for c in "AMbc"]
+    derived = ["basis_vyp.romb", "basis_vu.romb",
+               *(f"rom_{t}_terms.romb"
+                 for t in ("a", "myp", "mu", "muyp", "b", "c"))]
+    for name in theta + derived:
+        save_matrix(out / name, np.zeros((1, 1)))
+    assert _cli(tmp_path, "offline", out, stages="pod") == 0
+    assert {p.name for p in out.iterdir()} == fresh | set(theta)
+    assert _cli(tmp_path, "offline", out) == 0
+    assert {p.name for p in out.iterdir()} == fresh
+    assert _cli(tmp_path, "online", out) == 0
+
+
 def test_artifact_io_goes_through_pipeline_namespace(tmp_path, monkeypatch):
     # the benchmark traces storage calls at these names; every artifact
     # written or read must pass through them

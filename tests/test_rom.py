@@ -9,9 +9,10 @@ from cutrom.deim import build_theta_table, deim_basis, model_from_snapshots
 from cutrom.errors import NumericalError
 from cutrom.pipeline import training_sweep
 from cutrom.pod import AggregatedBasis
-from cutrom.rom import _dense_solve, assemble_reduced_system
+from cutrom.rom import _dense_solve, assemble_reduced_system, \
+    rom_solve_theta
 from oracles import bitwise_equal, direct_projection, \
-    reduced_blocks_from_exact
+    reduced_blocks_from_exact, reference_rom_solve
 
 
 @pytest.fixture(scope="module")
@@ -330,3 +331,77 @@ def test_pivot_ratio_of_reduced_solve(rom_setup):
     assert np.array_equal(x, [1.0, 0.25, 0.5]) and ratio == 0.25
     sol = rom_solve(rom_setup["rom"], 0.452)
     assert 0.0 < sol.pivot_ratio <= 1.0
+
+
+def _check_against_reference(rom, mus) -> int:
+    """Hold rom_solve at every mu bitwise to the reference solve: reduced
+    coefficients, lifted fields, pivot ratio and dropped directions.
+    Returns the most directions a solve dropped."""
+    dropped = 0
+    for mu in map(float, mus):
+        sol, ref = rom_solve(rom, mu), reference_rom_solve(rom, mu)
+        got = (sol.y_N, sol.u_N, sol.p_N, sol.y, sol.u, sol.p,
+               sol.pivot_ratio)
+        assert all(bitwise_equal(a, b) for a, b in zip(got, ref)), mu
+        assert sol.deflated_dims == ref[-1], mu
+        dropped = max(dropped, sol.deflated_dims)
+    return dropped
+
+
+def test_rom_solve_bitwise_equals_reference_path(tmp_path, paper_rom):
+    # the GEMV form and getrf/getrs solve give the bits of tensordot and
+    # lu_factor/lu_solve, on the table and on its partial-assembly
+    # fallback within 1e-9 of an edge.  At the paper resolution, fusing
+    # the three mass GEMVs into one would already change bits.
+    from cutrom import RunConfig, run_offline
+    from cutrom.pipeline import sample_test_parameters
+
+    cfg = RunConfig(h_target=0.3, m_train=5, m_test=4, seed=5, pod_store=5,
+                    out_dir=str(tmp_path))
+    tiny = run_offline(cfg).rom
+    _, paper = paper_rom
+    for rom, mus in ((tiny, sample_test_parameters(cfg)),
+                     (paper, np.random.default_rng(3).uniform(0.4, 0.5,
+                                                               20))):
+        edges = rom.table.edges
+        near_edges = [edges[-1] - 5e-10, edges[1] + 5e-10]
+        assert all(rom.table(mu) is None for mu in near_edges)
+        _check_against_reference(rom, [*mus, *near_edges])
+
+
+@pytest.mark.parametrize("seed", [2304, 2337, 2401])
+def test_deflated_rom_solve_bitwise_equals_reference_path(tmp_path, seed):
+    # the modes_sweep ROMs with every stored POD mode, whose reduced
+    # system is singular at a test parameter of these seeds
+    from cutrom import RunConfig, run_offline
+    from cutrom.pipeline import _aggregated, sample_test_parameters
+
+    cfg = RunConfig(h_target=0.3, m_train=8, m_test=2, seed=seed,
+                    out_dir=str(tmp_path))
+    bundle = run_offline(cfg)
+    rom = precompute_reduced_terms(
+        _aggregated(bundle.pod, bundle.ctx, bundle.W, 25),
+        bundle.deim_models, bundle.rom.table, bundle.ctx, cfg.alpha)
+    assert _check_against_reference(rom, sample_test_parameters(cfg)) > 0
+
+
+def test_non_finite_reduced_system_raises_numerical_error(rom_setup,
+                                                         monkeypatch):
+    # a NaN or inf in theta stops the solve with the parameter named and
+    # no factorization, so no deflated retry; LAPACK's getrf would pass a
+    # NaN through the pivot check
+    import cutrom.rom
+
+    calls = []
+    monkeypatch.setattr(cutrom.rom, "_dense_solve",
+                        lambda *a: calls.append(a) or _dense_solve(*a))
+    rom = rom_setup["rom"]
+    thetas = rom.theta(0.452)
+    for k, bad in ((0, np.nan), (1, np.nan), (1, np.inf), (3, -np.inf)):
+        broken = [t.copy() for t in thetas]
+        broken[k][0] = bad
+        with pytest.raises(NumericalError, match="non-finite.*mu=0.452"):
+            rom_solve_theta(rom, 0.452, broken)
+    assert calls == []
+    rom_solve_theta(rom, 0.452, thetas)
+    assert len(calls) == 1
