@@ -11,9 +11,9 @@ interpolatory hyper-reduction of all parameter-dependent operators.
 from .assembly import AssemblyContext, ParametricOperators, ProblemCase, \
     SparsityPattern, assemble_operators, box_mass_matrix, get_case, \
     square_poisson
-from .deim import DeimModel, OperatorSnapshots, PartialAssembler, \
-    build_reduced_mesh, deim_basis, deim_select, make_deim_model, \
-    spectral_norm, truncate_model
+from .deim import DeimBasis, DeimModel, OperatorSnapshots, \
+    PartialAssembler, build_reduced_mesh, deim_basis, deim_select, \
+    make_deim_model, model_from_snapshots, spectral_norm, truncate_model
 from .errors import ConfigError, NumericalError, PatternOverflowError
 from .kkt import FullSolution, KktSystem, assemble_kkt, solve_kkt
 from .levelset import CutGeometry, LevelSetSquare, classify_elements, \

@@ -5,14 +5,15 @@ patterns (stacked index N*(i-1)+j) and, together with the two right-hand
 side vectors, compressed by a POD in the Euclidean inner product.  Only the
 entries that can be nonzero (``AssemblyContext.kept``) are stored as rows
 of the snapshots and bases; interpolation indices stay offsets into the
-full pattern or DOF range.  A greedy
-procedure picks one interpolation entry per basis column; a partial
-assembly on a small reduced mesh that covers exactly the selected entries
-recovers them at a cost independent of the full-order dimension.  Between
-the breakpoints of the level-set family on the reduced meshes the selected
-entries are smooth in the parameter, so the offline stage tabulates them
-as Chebyshev series (``ThetaTable``); online, a query reads the table and
-assembles only next to a breakpoint.
+full pattern or DOF range.  A greedy procedure picks one interpolation
+entry per basis column, nested in the number of columns.  The modes and
+entries fix the oblique projector and a small reduced mesh that covers
+exactly the selected entries, on which a partial assembly recovers them at
+a cost independent of the full-order dimension.  Between the breakpoints
+of the level-set family on the reduced meshes the selected entries are
+smooth in the parameter, so the offline stage tabulates them as Chebyshev
+series (``ThetaTable``); online, a query reads the table and assembles
+only next to a breakpoint.
 
 The layout all of this lives on (patterns, kept rows, the elements that
 can be cut) follows from the mesh and the parameter range and is owned by
@@ -56,7 +57,11 @@ class DeimBasis:
 
     U: np.ndarray                  # (n_rows, m)
     eigenvalues: np.ndarray        # (M,) non-increasing
-    m: int                         # numerical rank of the snapshots
+
+    @property
+    def m(self) -> int:
+        """Numerical rank of the snapshots."""
+        return self.U.shape[1]
 
 
 def deim_basis(snaps: OperatorSnapshots) -> DeimBasis:
@@ -93,40 +98,29 @@ def deim_basis(snaps: OperatorSnapshots) -> DeimBasis:
         for _ in range(2):
             v -= U[:, :j] @ (U[:, :j].T @ v)
         U[:, j] = v / np.linalg.norm(v)
-    return DeimBasis(U, lam, m)
+    return DeimBasis(U, lam)
 
 
-def deim_select(U: np.ndarray):
-    """Greedy interpolation indices and the oblique projector U (P^T U)^-1.
+def deim_select(U: np.ndarray) -> np.ndarray:
+    """Greedy interpolation indices, rows of U.
 
     The first index maximizes |u_1|; each next one maximizes the residual of
     interpolating u_l at the indices found so far.  Ties resolve to the
-    lowest index.  A residual that vanishes before all columns are used
-    truncates the basis with a warning.
+    lowest index.  Step l reads only the first l columns, so the indices
+    are nested: those of U[:, :m] are the first m of U's.  A residual that
+    vanishes before all columns are used truncates the basis with a warning.
     """
-    n, m = U.shape
-    indices = np.empty(m, dtype=np.int64)
-    indices[0] = int(np.argmax(np.abs(U[:, 0])))
-    used = 1
-    for ell in range(1, m):
-        sub = U[indices[:used], :used]
-        coef = np.linalg.solve(sub, U[indices[:used], ell])
-        r = U[:, ell] - U[:, :used] @ coef
+    indices = [int(np.argmax(np.abs(U[:, 0])))]
+    for ell in range(1, U.shape[1]):
+        coef = np.linalg.solve(U[indices, :ell], U[indices, ell])
+        r = U[:, ell] - U[:, :ell] @ coef
         pick = int(np.argmax(np.abs(r)))
         if r[pick] == 0.0:
             warnings.warn(
-                f"rank-deficient interpolation basis truncated at {used}")
+                f"rank-deficient interpolation basis truncated at {ell}")
             break
-        indices[ell] = pick
-        used += 1
-    indices = indices[:used]
-    B = U[indices, :used]
-    if not np.all(np.isfinite(np.linalg.cond(B))):
-        raise NumericalError("interpolation system is singular")
-    # C order, as a loaded projector has: products with it then round the
-    # same whether the model was built or read back
-    projector = np.ascontiguousarray(np.linalg.solve(B.T, U[:, :used].T).T)
-    return indices, projector
+        indices.append(pick)
+    return np.array(indices, dtype=np.int64)
 
 
 def build_reduced_mesh(indices: np.ndarray, ctx: AssemblyContext,
@@ -198,29 +192,46 @@ class DeimModel:
         return ctx.full_matrix(self.component, values)
 
 
-def make_deim_model(U: np.ndarray, eigenvalues: np.ndarray, m: int,
-                    component: str, ctx: AssemblyContext) -> DeimModel:
-    """Select indices for the first m modes and detect the reduced mesh."""
-    local, projector = deim_select(U[:, :m])
-    indices = ctx.kept[component][local]
+def make_deim_model(component: str, U: np.ndarray, indices: np.ndarray,
+                    eigenvalues, ctx: AssemblyContext) -> DeimModel:
+    """The one constructor of ``DeimModel``: U's first ``len(indices)`` modes
+    at ``indices`` (full offsets), with the projector and reduced mesh they
+    fix.  ValueError unless the indices are distinct kept entries and U has
+    a row per kept entry and a mode per index; NumericalError for a P^T U
+    that is singular in float64."""
+    kept, indices = ctx.kept[component], np.asarray(indices, dtype=np.int64)
+    rows = np.minimum(np.searchsorted(kept, indices), kept.size - 1)
+    if np.unique(indices).size < indices.size or (kept[rows] != indices).any():
+        raise ValueError(f"DEIM indices of {component} are not distinct "
+                         "ever-active entries")
+    if U.shape[0] != kept.size or U.shape[1] < indices.size:
+        raise ValueError(f"DEIM basis of {component} has shape {U.shape}, "
+                         f"not ({kept.size}, >= {indices.size})")
+    U = np.ascontiguousarray(U[:, :indices.size])
+    B = U[rows]
+    if not np.linalg.cond(B) < 1 / np.finfo(float).eps:
+        raise NumericalError(f"DEIM system of {component} is singular")
+    # C order: products with it then round the same however U was laid out
+    projector = np.ascontiguousarray(np.linalg.solve(B.T, U.T).T)
     elements, facets = build_reduced_mesh(indices, ctx, component)
-    return DeimModel(component, U[:, :indices.size].copy(), indices,
-                     projector, elements, facets,
+    return DeimModel(component, U, indices, projector, elements, facets,
                      np.asarray(eigenvalues, dtype=float))
 
 
 def model_from_snapshots(basis: DeimBasis, m: int, snaps: OperatorSnapshots,
                          ctx: AssemblyContext) -> DeimModel:
-    return make_deim_model(basis.U, basis.eigenvalues, m, snaps.component,
-                           ctx)
+    """The model of the first m modes at their greedy indices."""
+    indices = ctx.kept[snaps.component][deim_select(basis.U[:, :m])]
+    return make_deim_model(snaps.component, basis.U, indices,
+                           basis.eigenvalues, ctx)
 
 
 def truncate_model(model: DeimModel, m: int,
                    ctx: AssemblyContext) -> DeimModel:
-    """Rebuild a model from the first m stored modes (m <= model.m); greedy
-    indices are nested, so its entries are the model's first ones."""
-    return make_deim_model(model.U, model.eigenvalues, m, model.component,
-                           ctx)
+    """The model of the first m stored modes (m <= model.m): greedy indices
+    are nested, so it interpolates at the model's first m indices."""
+    return make_deim_model(model.component, model.U, model.indices[:m],
+                           model.eigenvalues, ctx)
 
 
 class PartialAssembler:

@@ -32,8 +32,8 @@ import scipy.sparse as sp
 from .assembly import AssemblyContext, assemble_operators, \
     box_mass_matrix, get_case
 from .deim import COMPONENTS, DeimModel, OperatorSnapshots, ThetaTable, \
-    build_theta_table, deim_basis, model_from_snapshots, spectral_norm, \
-    theta_deviation, truncate_model
+    build_theta_table, deim_basis, make_deim_model, model_from_snapshots, \
+    spectral_norm, theta_deviation, truncate_model
 from .errors import ConfigError, NumericalError
 from .kkt import FullSolution, assemble_kkt, solve_kkt
 # cut_candidates is not called here; perfbench/tracing.py wraps it by name
@@ -199,11 +199,9 @@ def _snapshots_build(s):
     cfg, ctx = s["cfg"], s["ctx"]
     params = sample_parameters(cfg.mu_min, cfg.mu_max, cfg.m_train, cfg.seed)
     snaps, opsnaps = training_sweep(params, ctx, s["W"])
-    models = {}
-    for comp in COMPONENTS:
-        dbasis = deim_basis(opsnaps[comp])
-        models[comp] = model_from_snapshots(dbasis, dbasis.m, opsnaps[comp],
-                                            ctx)
+    bases = {comp: deim_basis(opsnaps[comp]) for comp in COMPONENTS}
+    models = {comp: model_from_snapshots(basis, basis.m, opsnaps[comp], ctx)
+              for comp, basis in bases.items()}
     return {"params": params, "snapshots": snaps, "deim_models": models,
             "theta_table": build_theta_table(list(models.values()), ctx)}
 
@@ -220,26 +218,18 @@ def _snapshots_save(out: Path, s) -> None:
                 table.coefs.reshape(-1, table.coefs.shape[2]))
     for comp, model in s["deim_models"].items():
         save_matrix(out / f"deim_{comp}_U.romb", model.U)
-        save_matrix(out / f"deim_{comp}_proj.romb", model.projector)
         save_matrix(out / f"deim_{comp}_eigs.romb", model.eigenvalues)
         save_index_list(out / f"deim_{comp}_indices.txt", model.indices)
-        save_index_list(out / f"deim_{comp}_elements.txt",
-                        model.reduced_elements)
-        save_index_list(out / f"deim_{comp}_facets.txt",
-                        model.reduced_facets)
 
 
 def _snapshots_load(out: Path, s):
     params = load_matrix(out / "params_train.romb").ravel()
     edges = load_matrix(out / "deim_theta_edges.romb").ravel()
     coefs = load_matrix(out / "deim_theta.romb")
-    models = {comp: DeimModel(
+    models = {comp: make_deim_model(
         comp, load_matrix(out / f"deim_{comp}_U.romb"),
         load_index_list(out / f"deim_{comp}_indices.txt"),
-        load_matrix(out / f"deim_{comp}_proj.romb"),
-        load_index_list(out / f"deim_{comp}_elements.txt"),
-        load_index_list(out / f"deim_{comp}_facets.txt"),
-        load_matrix(out / f"deim_{comp}_eigs.romb").ravel())
+        load_matrix(out / f"deim_{comp}_eigs.romb").ravel(), s["ctx"])
         for comp in COMPONENTS}
     return {"params": params,
             "snapshots": SnapshotSet(params, *(
@@ -279,7 +269,7 @@ class _Stage(NamedTuple):
     build: Callable
     save: Callable
     load: Callable
-    replaces: tuple[str, ...]  # files of earlier formats its save replaces
+    replaces: tuple[str, ...]  # files its save no longer writes
 
 
 STAGE_TABLE = dict(zip(STAGES, (
@@ -287,8 +277,9 @@ STAGE_TABLE = dict(zip(STAGES, (
                 "h_target", "mu_min", "mu_max", "alpha", "gamma_d",
                 "gamma_1", "case", "m_train", "seed"),
            _snapshots_build, _snapshots_save, _snapshots_load,
-           # format 4: one theta table per component
-           ("deim_[AMbc]_theta.romb",)),
+           # format 4's theta tables; projectors and meshes derived on load
+           ("deim_[AMbc]_theta.romb", "deim_[AMbc]_proj.romb",
+            "deim_[AMbc]_elements.txt", "deim_[AMbc]_facets.txt")),
     _Stage(("snapshots",), ("eps_pod", "pod_store"),
            _pod_build, _pod_save, _pod_load,
            # the aggregated basis and the removed 'rom' stage's terms
@@ -379,7 +370,7 @@ def _walk(cfg: RunConfig, ctx: AssemblyContext, W, out: Path,
         elif name in inputs:
             try:
                 state.update(stage.load(out, state))
-            except (OSError, ValueError) as exc:
+            except (OSError, ValueError, NumericalError) as exc:
                 raise ConfigError(f"stage '{name}' in {out} is unreadable "
                                   f"({exc}); rerun offline with '{name}' "
                                   f"in stages") from exc
@@ -704,8 +695,6 @@ def run_verify(cfg: RunConfig, out_dir=None):
         dev = float(np.max(np.abs(ident - np.eye(model.m))))
         checks.append((f"deim_projector_identity_{comp}", dev <= 1e-12,
                        f"max deviation {dev:.3e}"))
-        distinct = np.unique(model.indices).size == model.m
-        checks.append((f"deim_indices_distinct_{comp}", distinct, ""))
 
     # the deployed theta (table, or partial assembly next to a breakpoint)
     # at every interval's midpoint and the sample parameters

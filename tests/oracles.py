@@ -6,7 +6,8 @@ import scipy.sparse.linalg as spla
 
 from cutrom import AggregatedBasis, AssemblyContext, ParametricOperators, \
     assemble_operators
-from cutrom.deim import PartialAssembler, spectral_norm, truncate_model
+from cutrom.deim import DeimModel, PartialAssembler, build_reduced_mesh, \
+    deim_select, spectral_norm, truncate_model
 from cutrom.errors import NumericalError, PatternOverflowError
 from cutrom.levelset import CUT, INSIDE, OUTSIDE, SNAP_REL, LevelSetSquare, \
     SubsetGeometry, _interpolant_gradients, _midpoint_rule, _segment_rule, \
@@ -515,6 +516,22 @@ def offset_pairs(ctx: AssemblyContext, component: str, offsets):
     if pattern is None:
         return np.asarray(offsets)
     return np.column_stack([pattern.rows[offsets], pattern.cols[offsets]])
+
+
+def reselect_deim_model(model: DeimModel, m: int,
+                        ctx: AssemblyContext) -> DeimModel:
+    """``truncate_model`` by selecting again: the greedy run on the first m
+    modes, the oblique projector solved from those modes at its indices,
+    and the reduced mesh of those indices."""
+    U = model.U[:, :m]
+    local = deim_select(U)
+    B = U[local, :local.size]
+    projector = np.ascontiguousarray(
+        np.linalg.solve(B.T, U[:, :local.size].T).T)
+    indices = ctx.kept[model.component][local]
+    elements, facets = build_reduced_mesh(indices, ctx, model.component)
+    return DeimModel(model.component, U[:, :local.size].copy(), indices,
+                     projector, elements, facets, model.eigenvalues)
 
 
 def projector_apply(asm: PartialAssembler, theta) -> np.ndarray:

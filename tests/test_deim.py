@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from cutrom import assemble_operators, box_mass_matrix, build_reduced_mesh, \
-    deim_basis, deim_select, spectral_norm, training_sweep
+    deim_basis, deim_select, make_deim_model, spectral_norm, training_sweep
 from cutrom.deim import OperatorSnapshots, PartialAssembler, \
     model_from_snapshots, truncate_model
 from cutrom.errors import NumericalError, PatternOverflowError
@@ -14,6 +16,18 @@ def _vector_snaps(values):
     values = np.asarray(values, dtype=float)
     return OperatorSnapshots("b", np.arange(values.shape[1], dtype=float),
                              values)
+
+
+def _select(U):
+    """Greedy indices and the projector ``make_deim_model`` derives for U
+    as the basis of b on a stand-in context: every row is a kept DOF, held
+    by an element of its own."""
+    n = U.shape[0]
+    mesh = SimpleNamespace(elements=np.arange(n)[:, None], dof_count=n)
+    ctx = SimpleNamespace(kept={"b": np.arange(n)}, mesh=mesh,
+                          face_table=None)
+    model = make_deim_model("b", U, deim_select(U), np.ones(1), ctx)
+    return model.indices, model.projector
 
 
 def test_rank_one_family():
@@ -35,7 +49,7 @@ def test_affine_two_term_family():
     snaps = _vector_snaps(np.outer(a1, th[0]) + np.outer(a2, th[1]))
     basis = deim_basis(snaps)
     assert basis.m == 2
-    indices, projector = deim_select(basis.U[:, :2])
+    indices, projector = _select(basis.U[:, :2])
     # any member of the family is reconstructed exactly from its 2 entries
     fresh = 0.3 * a1 - 1.7 * a2
     recon = projector @ fresh[indices]
@@ -53,14 +67,14 @@ def test_dimension_is_numerical_rank():
 def test_select_unit_vector():
     u = np.zeros((7, 1))
     u[3, 0] = 1.0
-    indices, projector = deim_select(u)
+    indices, projector = _select(u)
     assert list(indices) == [3]
     assert projector[3, 0] == pytest.approx(1.0)
 
 
 def test_select_identity_columns():
     U = np.eye(6)[:, :2]
-    indices, projector = deim_select(U)
+    indices, projector = _select(U)
     assert list(indices) == [0, 1]
     assert np.array_equal(projector, U)
 
@@ -69,13 +83,13 @@ def test_select_tie_breaks_to_lowest_index():
     u = np.zeros((5, 1))
     u[1, 0] = 0.5
     u[4, 0] = -0.5
-    indices, _ = deim_select(u)
+    indices, _ = _select(u)
     assert indices[0] == 1
 
 
 def test_interpolation_identity(rng):
     U, _ = np.linalg.qr(rng.standard_normal((40, 6)))
-    indices, projector = deim_select(U)
+    indices, projector = _select(U)
     assert np.unique(indices).size == 6
     assert np.abs(projector[indices] - np.eye(6)).max() <= 1e-12
     for j in range(6):
@@ -89,7 +103,7 @@ def test_select_truncates_rank_deficient_basis():
     U[1, 1] = 1.0
     U[:, 2] = U[:, 0]  # dependent: residual vanishes
     with pytest.warns(UserWarning):
-        indices, projector = deim_select(U)
+        indices, _ = _select(U)
     assert indices.size == 2
 
 

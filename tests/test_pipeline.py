@@ -12,9 +12,12 @@ from cutrom import RunConfig, load_bundle, run_offline, run_online, \
     run_verify, sample_parameters
 from cutrom.pipeline import sample_test_parameters
 from cutrom.cli import main as cli_main
+from cutrom.deim import truncate_model
 from cutrom.errors import ConfigError
 from cutrom.pod import energy_cutoff
-from cutrom.storage import load_matrix, read_csv, save_matrix
+from cutrom.storage import load_index_list, load_matrix, read_csv, \
+    save_index_list, save_matrix
+from oracles import reselect_deim_model
 
 TINY = dict(h_target=0.3, m_train=5, m_test=4, seed=5, pod_store=5)
 
@@ -38,20 +41,20 @@ def tiny_bundle(tmp_path_factory):
 
 def test_tiny_offline_completes_quickly(tiny_bundle):
     assert tiny_bundle["elapsed"] < 30.0
-    out = tiny_bundle["out"]
-    expected = ["config.resolved", "mesh_fingerprint.txt",
-                "params_train.romb", "snap_y.romb", "snap_u.romb",
-                "snap_p.romb", "manifest.json", "offline_summary.csv"]
-    expected += [f"pod_basis_{v}.romb" for v in "yup"]
-    expected += [f"deim_{c}_{part}" for c in "AMbc"
-                 for part in ("U.romb", "proj.romb", "indices.txt",
-                              "elements.txt", "facets.txt")]
-    expected += ["deim_theta.romb", "deim_theta_edges.romb"]
-    for name in expected:
-        assert (out / name).is_file(), name
-    # the aggregated basis and the reduced terms are derived on load
-    assert not list(out.glob("basis_v*")) and not list(out.glob("rom_*"))
-    assert not (out / ".lock").exists()
+    # exactly these files: the aggregated basis, the reduced terms and the
+    # DEIM projectors and reduced meshes are derived on load, and no lock
+    # or stray write is left behind
+    expected = {"config.resolved", "mesh_fingerprint.txt", "manifest.json",
+                "offline_summary.csv", "offline_timings.csv",
+                "params_train.romb", "pod_retained.txt", "deim_theta.romb",
+                "deim_theta_edges.romb"}
+    expected |= {f"snap_{v}.romb" for v in "yup"}
+    expected |= {f"pod_{kind}_{v}.romb" for kind in ("basis", "eigs")
+                 for v in "yup"}
+    expected |= {f"deim_{c}_{part}" for c in "AMbc"
+                 for part in ("U.romb", "eigs.romb", "indices.txt")}
+    assert len(expected) == 30
+    assert {p.name for p in tiny_bundle["out"].iterdir()} == expected
 
 
 def test_retained_dims_match_energy_criterion(tiny_bundle):
@@ -140,6 +143,111 @@ def test_bundle_without_theta_table_exits_2(tiny_bundle, tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, **TINY, out_dir=str(out), stages="pod")
     assert cli_main(["offline", "--config", str(cfg_path)]) == 0
     assert cli_main(["online", "--config", str(cfg_path)]) == 0
+
+
+def test_truncation_bitwise_equals_reselection(tiny_bundle):
+    # greedy step l reads only the first l modes, so the first m stored
+    # indices are the ones a selection on the first m modes returns, with
+    # the same projector and reduced mesh
+    ctx = tiny_bundle["bundle"].ctx
+    for comp, model in tiny_bundle["bundle"].deim_models.items():
+        for m in range(1, model.m + 1):
+            got = truncate_model(model, m, ctx)
+            ref = reselect_deim_model(model, m, ctx)
+            for name in ("indices", "projector", "reduced_elements",
+                         "reduced_facets"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), \
+                    (comp, m, name)
+
+
+def _corrupt(kind, U, idx, kept, size):
+    """A component's U and indices with one kind of corruption; ``kept``
+    are its ever-active entries among ``size`` offsets (DOFs for b, c)."""
+    U, idx = U.copy(), idx.copy()
+    if kind == "index_out_of_range":
+        idx[0] = 999999
+    elif kind == "index_repeated":
+        idx[-1] = idx[0]
+    elif kind == "index_off_ever_active":
+        idx[0] = np.setdiff1d(np.arange(size), kept)[0]
+    elif kind == "basis_rows":
+        U = U[1:]
+    elif kind == "basis_modes":
+        U = U[:, :-1]
+    else:       # two equal rows of U at the indices: P^T U is singular
+        rows = np.searchsorted(kept, idx)
+        U[rows[1]] = U[rows[0]]
+    return U, idx
+
+
+@pytest.mark.parametrize("comp,kind", [
+    ("A", "index_out_of_range"), ("M", "index_repeated"),
+    ("b", "index_off_ever_active"), ("c", "basis_rows"),
+    ("A", "basis_modes"), ("M", "basis_singular")])
+def test_corrupt_deim_files_exit_2(tiny_bundle, tmp_path, capsys, comp,
+                                   kind):
+    # the load derives every model from its U and indices and rejects
+    # files they do not fit, so online and verify end in a config error
+    import shutil
+
+    out = tmp_path / "b"
+    shutil.copytree(tiny_bundle["out"], out)
+    ctx = tiny_bundle["bundle"].ctx
+    size = ctx.mesh.dof_count if comp in "bc" else ctx.patterns[comp].nnz
+    assert tiny_bundle["bundle"].deim_models[comp].m >= 2
+    U, idx = _corrupt(kind, load_matrix(out / f"deim_{comp}_U.romb"),
+                      load_index_list(out / f"deim_{comp}_indices.txt"),
+                      ctx.kept[comp], size)
+    save_matrix(out / f"deim_{comp}_U.romb", U)
+    save_index_list(out / f"deim_{comp}_indices.txt", idx)
+    cfg_path = _write_cfg(tmp_path, **TINY, out_dir=str(out))
+    for command in ("online", "verify"):
+        assert cli_main([command, "--config", str(cfg_path)]) == 2, command
+        err = capsys.readouterr().err
+        assert "stage 'snapshots'" in err and "DEIM" in err \
+            and f" of {comp} " in err, (command, err)
+
+
+def test_bundle_with_stored_projectors_loads_the_same(tiny_bundle, tmp_path):
+    # bundles of earlier builds also stored each model's projector and
+    # reduced mesh; the load derives the same bits from U and the indices,
+    # and a rebuild of the snapshots stage deletes the stored copies
+    import shutil
+
+    from cutrom import rom_solve
+
+    out = tmp_path / "b"
+    shutil.copytree(tiny_bundle["out"], out)
+    fresh = {p.name for p in out.iterdir()}
+    built = tiny_bundle["bundle"]
+    for comp, model in built.deim_models.items():
+        save_matrix(out / f"deim_{comp}_proj.romb", model.projector)
+        save_index_list(out / f"deim_{comp}_elements.txt",
+                        model.reduced_elements)
+        save_index_list(out / f"deim_{comp}_facets.txt",
+                        model.reduced_facets)
+    assert len({p.name for p in out.iterdir()} - fresh) == 12
+    loaded = load_bundle(out, tiny_bundle["cfg"])
+    for comp, model in built.deim_models.items():
+        for name in ("U", "indices", "projector", "reduced_elements",
+                     "reduced_facets", "eigenvalues"):
+            a, b = getattr(model, name), getattr(loaded.deim_models[comp],
+                                                 name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (comp, name)
+    for name in ("A_terms", "M_yp_terms", "M_u_terms", "M_uyp_terms",
+                 "b_terms", "c_terms"):
+        assert np.array_equal(getattr(built.rom, name),
+                              getattr(loaded.rom, name)), name
+    edges = built.rom.table.edges
+    for mu in (0.4137, 0.4521, 0.4986, edges[1] + 1e-10):
+        sa, sb = rom_solve(built.rom, mu), rom_solve(loaded.rom, mu)
+        for name in ("y_N", "u_N", "p_N", "y", "u", "p"):
+            assert np.array_equal(getattr(sa, name), getattr(sb, name)), \
+                (mu, name)
+    run_offline(RunConfig(**{**TINY, "stages": "snapshots"},
+                          out_dir=str(out)))
+    assert {p.name for p in out.iterdir()} == fresh
 
 
 def test_stale_bundle_detected(tiny_bundle, tmp_path):
@@ -381,10 +489,10 @@ def test_stage_selectors_reuse_artifacts(tmp_path):
     run_offline(RunConfig(**{**base, "stages": "snapshots"}))
     # the training sweep's operator snapshots give the DEIM models
     assert (out / "snap_y.romb").is_file()
-    assert (out / "deim_A_proj.romb").is_file()
+    assert (out / "deim_A_U.romb").is_file()
     assert not (out / "pod_basis_y.romb").exists()
     mtimes = {name: (out / name).stat().st_mtime_ns
-              for name in ("snap_y.romb", "deim_A_proj.romb")}
+              for name in ("snap_y.romb", "deim_A_U.romb")}
     run_offline(RunConfig(**{**base, "stages": "pod"}))
     assert {name: (out / name).stat().st_mtime_ns
             for name in mtimes} == mtimes
